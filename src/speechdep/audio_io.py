@@ -258,7 +258,19 @@ def load_manifest(path) -> CorpusManifest:
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise ValueError(f"{path}: bad manifest header {header}")
-        entries = [
-            ManifestEntry(r[0], r[1], int(r[2]), r[3], float(r[4])) for r in reader if r
-        ]
+        entries = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(MANIFEST_HEADER):
+                raise ValueError(f"{where}: expected {len(MANIFEST_HEADER)} columns, got {len(row)}")
+            speaker_id, clip_path, label, split, duration_s = row
+            if label not in ("0", "1"):
+                raise ValueError(f"{where}: label must be 0 or 1, got {label!r}")
+            try:
+                duration = float(duration_s)
+            except ValueError:
+                raise ValueError(f"{where}: duration_s is not a number: {duration_s!r}") from None
+            entries.append(ManifestEntry(speaker_id, clip_path, int(label), split, duration))
     return CorpusManifest(entries)

@@ -93,6 +93,9 @@ class CliError(Exception):
         super().__init__(message)
         self.category = category
 
+    def __reduce__(self):  # rebuilt intact when raised in a --jobs worker
+        return CliError, (self.category, str(self))
+
 
 @dataclass
 class RunConfig:
@@ -354,11 +357,18 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
 
 # ---------------------------------------------------------------- train
 
+def _read_cache(cache_path) -> list:
+    features = read_feature_cache(cache_path)
+    if not features:
+        raise CliError("data", f"feature cache {cache_path} holds no records")
+    return features
+
+
 def _train_machine(task) -> tuple[int, str, float]:
     """Worker: train machine m from the cache and write its artifacts."""
     cache_path, out_dir, cfg_values, machine = task
     cfg = RunConfig(cfg_values)
-    features = read_feature_cache(cache_path)
+    features = _read_cache(cache_path)
     net_cfg = cfg.network_config(*features[0].shape)
     train_cfg = cfg.train_config()
     params, history = train(features, net_cfg, train_cfg, init_seed=train_cfg.seed + machine)
@@ -377,7 +387,7 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_train_machine, tasks))
     else:
-        features = read_feature_cache(cache_path)
+        features = _read_cache(cache_path)
         net_cfg = cfg.network_config(*features[0].shape)
         train_cfg = cfg.train_config()
         outcomes = []
@@ -403,7 +413,7 @@ def _load_pool(models_dir: Path, cache_path: Path):
     model_paths = sorted(models_dir.glob("model_*.sdm")) if models_dir.is_dir() else []
     if not model_paths:
         raise CliError("io", f"no model files (model_*.sdm) under {models_dir}")
-    features = read_feature_cache(cache_path)
+    features = _read_cache(cache_path)
     loaded = [load_model(p) for p in model_paths]
     net_cfg = loaded[0][0]
     shape = (net_cfg.freq_bins, net_cfg.time_steps)

@@ -169,15 +169,22 @@ def read_feature_cache(path, normalize: bool = True) -> list[LogSpectrogram]:
     raw = Path(path).read_bytes()
     if raw[:4] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a feature cache file")
+    pos = 4 + 14
+    if len(raw) < pos:
+        raise ValueError(f"{path}: cut off inside the file header")
     version, freq_bins, time_steps, count = struct.unpack_from("<HIII", raw, 4)
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    pos = 4 + 14
     n_values = freq_bins * time_steps
     out = []
-    for _ in range(count):
+    for index in range(count):
+        cut_off = ValueError(f"{path}: cut off inside record {index} of {count}")
+        if len(raw) < pos + 2:
+            raise cut_off
         (sid_len,) = struct.unpack_from("<H", raw, pos)
         pos += 2
+        if len(raw) < pos + sid_len + 5 + 4 * n_values:  # id, crop index, label, values
+            raise cut_off
         speaker_id = raw[pos : pos + sid_len].decode("utf-8")
         pos += sid_len
         crop_index, label = struct.unpack_from("<IB", raw, pos)

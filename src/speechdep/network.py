@@ -265,10 +265,17 @@ def numerical_gradient(
 
 # Batched variants used by the trainer: same math as forward/backward applied
 # over a (batch, freq_bins, time_steps) stack with a fixed reduction order.
+#
+# Layout invariant: the conv GEMM yields (filters, batch*time_steps), so every
+# per-time-step array (conv_pre, the pool scatter target, d_conv_pre) lives in
+# (filters, batch, time) memory order and is exposed as a (batch, filters, time)
+# view. The g_b_conv reduction sums in memory order, so a copy into C-contiguous
+# (batch, filters, time) order would change b_conv in its last bits.
 
 @dataclass
 class BatchCache:
-    conv_pre: np.ndarray  # (batch, filters, time_steps)
+    operand: np.ndarray  # (freq_bins, batch*time_steps): the conv GEMM input, reused by backward
+    conv_pre: np.ndarray  # (batch, filters, time_steps), (filters, batch, time) in memory
     pool_values: np.ndarray  # (batch, filters, pooled_steps)
     pool_argmax: np.ndarray
     flat: np.ndarray  # (batch, flat_size)
@@ -277,40 +284,65 @@ class BatchCache:
     probs: np.ndarray  # (batch,)
 
 
+def _pool_batch(act: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Max and first argmax of every pooling window of a (..., time_steps) stack.
+
+    One strided view per window offset; offset o holds the o-th element of
+    every window that reaches that far. Windows that run past the end simply
+    lack their last offsets, which for post-ReLU input equals zero padding.
+    """
+    t_out, stride = cfg.pooled_steps, cfg.pool_stride
+    offsets = [act[..., o::stride] for o in range(min(cfg.pool_kernel, cfg.time_steps))]
+    values = offsets[0].copy()
+    for view in offsets[1:]:
+        head = values[..., : view.shape[-1]]
+        np.maximum(head, view, out=head)
+    # argmax = how many leading offsets fall short of the max (ties: first wins)
+    argmax = np.zeros(values.shape, dtype=np.int64)
+    searching = np.ones(values.shape, dtype=bool)
+    for view in offsets:
+        head = searching[..., : view.shape[-1]]
+        head &= view < values[..., : view.shape[-1]]
+        argmax += searching
+    argmax += np.arange(0, t_out * stride, stride)
+    return values, argmax
+
+
 def forward_batch(params: NetworkParams, xs: np.ndarray, cfg: NetworkConfig) -> BatchCache:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[1:] != (cfg.freq_bins, cfg.time_steps):
         raise ValueError(f"expected batch of {(cfg.freq_bins, cfg.time_steps)}, got {xs.shape}")
     batch = xs.shape[0]
-    x2 = xs.transpose(1, 0, 2).reshape(cfg.freq_bins, batch * cfg.time_steps)
-    conv_pre = (params.w_conv @ x2).reshape(cfg.filters, batch, cfg.time_steps)
-    conv_pre = conv_pre.transpose(1, 0, 2) + params.b_conv[None, :, None]
-    conv_act = np.maximum(conv_pre, 0.0)
+    operand = xs.transpose(1, 0, 2).reshape(cfg.freq_bins, batch * cfg.time_steps)
+    conv_pre = (params.w_conv @ operand).reshape(cfg.filters, batch, cfg.time_steps)
+    conv_pre += params.b_conv[:, None, None]
+    values, argmax = _pool_batch(np.maximum(conv_pre, 0.0), cfg)
 
-    t_out = cfg.pooled_steps
-    pool_values = np.empty((batch, cfg.filters, t_out))
-    pool_argmax = np.empty((batch, cfg.filters, t_out), dtype=np.int64)
-    for j in range(t_out):
-        lo = j * cfg.pool_stride
-        window = conv_act[:, :, lo : lo + cfg.pool_kernel]
-        pool_values[:, :, j] = window.max(axis=2)
-        pool_argmax[:, :, j] = lo + window.argmax(axis=2)
-        # post-ReLU input: padded zeros never exceed the in-range max
-
-    flat = pool_values.reshape(batch, cfg.flat_size)
+    flat = values.transpose(1, 0, 2).reshape(batch, cfg.flat_size)
     hidden_pre = flat @ params.w_hidden.T + params.b_hidden
     hidden_act = np.maximum(hidden_pre, 0.0)
     logits = hidden_act @ params.w_out + params.b_out
-    return BatchCache(conv_pre, pool_values, pool_argmax, flat, hidden_pre, hidden_act, _sigmoid(logits))
+    return BatchCache(
+        operand,
+        conv_pre.transpose(1, 0, 2),
+        flat.reshape(batch, cfg.filters, cfg.pooled_steps),
+        argmax.transpose(1, 0, 2),
+        flat,
+        hidden_pre,
+        hidden_act,
+        _sigmoid(logits),
+    )
 
 
 def backward_batch(
     params: NetworkParams, cache: BatchCache, xs: np.ndarray, ys: np.ndarray, cfg: NetworkConfig
 ) -> NetworkParams:
-    """Gradients of the mean per-sample loss over the batch."""
-    xs = np.asarray(xs, dtype=np.float64)
+    """Gradients of the mean per-sample loss over the batch.
+
+    xs must be the batch that built cache; its conv operand comes from the cache.
+    """
     ys = np.asarray(ys, dtype=np.float64)
-    batch = xs.shape[0]
+    batch = len(xs)
 
     d_logits = (cache.probs - ys) / batch
     g_w_out = cache.hidden_act.T @ d_logits
@@ -320,17 +352,18 @@ def backward_batch(
     g_w_hidden = d_hidden_pre.T @ cache.flat
     g_b_hidden = d_hidden_pre.sum(axis=0)
 
+    # Pool scatter as one bincount over (filters, batch, time) flat indices,
+    # pooled step outermost: a time step in several windows sums in window order.
     d_pool = (d_hidden_pre @ params.w_hidden).reshape(cache.pool_values.shape)
-    d_act = np.zeros_like(cache.conv_pre)
-    b_idx, f_idx = np.indices((batch, cfg.filters))
-    for j in range(cfg.pooled_steps):
-        np.add.at(d_act, (b_idx, f_idx, cache.pool_argmax[:, :, j]), d_pool[:, :, j])
+    rows = np.arange(cfg.filters * batch).reshape(cfg.filters, batch) * cfg.time_steps
+    index = cache.pool_argmax.transpose(2, 1, 0) + rows
+    d_conv_pre = np.bincount(
+        index.ravel(), weights=d_pool.transpose(2, 1, 0).ravel(), minlength=rows.size * cfg.time_steps
+    ).reshape(cfg.filters, batch, cfg.time_steps)
+    d_conv_pre *= cache.conv_pre.transpose(1, 0, 2) > 0.0
 
-    d_conv_pre = d_act * (cache.conv_pre > 0.0)
-    dz2 = d_conv_pre.transpose(1, 0, 2).reshape(cfg.filters, batch * cfg.time_steps)
-    x2 = xs.transpose(1, 0, 2).reshape(cfg.freq_bins, batch * cfg.time_steps)
-    g_w_conv = dz2 @ x2.T
-    g_b_conv = d_conv_pre.sum(axis=(0, 2))
+    g_w_conv = d_conv_pre.reshape(cfg.filters, batch * cfg.time_steps) @ cache.operand.T
+    g_b_conv = d_conv_pre.sum(axis=(1, 2))
 
     return NetworkParams(g_w_conv, g_b_conv, g_w_hidden, g_b_hidden, g_w_out, g_b_out)
 

@@ -162,6 +162,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             grads = backward_batch(params, cache, bx, by, net_cfg)
+            del cache  # its conv operand is a second copy of the batch; free it before the next gather
             params, state = adadelta_step(params, grads, state, lr, cfg.rho, cfg.eps)
             epoch_loss += loss * bx.shape[0]
 

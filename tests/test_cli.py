@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
 from speechdep.ensemble import fuse_method1, read_predictions_csv
 from speechdep.evaluation import confusion, metrics, prediction_set_for, speaker_labels
-from speechdep.features import read_feature_cache
+from speechdep.features import CACHE_MAGIC, CACHE_VERSION, read_feature_cache
 from speechdep.network import load_model
 
 SEED = 3
@@ -227,3 +229,71 @@ def test_schema_types_are_consistent():
     for key, (kind, default) in CONFIG_SCHEMA.items():
         assert kind in (int, float, str), key
         assert isinstance(default, kind), key
+
+
+# SHA-256 of the artifacts of a fixed tiny run (float64 numpy on x86-64 with
+# OpenBLAS). Any change to the training or prediction arithmetic moves them;
+# a change that is meant to move them must say so and record the new values.
+GOLDEN_MODEL_SHA256 = "b7cdaf99d2ae5abab9be782fc1f4e92e81b5fa8435329c7b67c021c26c099c65"
+GOLDEN_PREDICTIONS_SHA256 = "8032ae86993d9eda1f6462aeaf4e6199ca079c6b0af6e111eacdc61bcfcd67ca"
+
+
+def test_golden_model_and_predictions(pipe, tmp_path):
+    models, out = tmp_path / "models", tmp_path / "eval"
+    # batch 4 over 6 crops: a full and a partial batch per epoch
+    assert _run(
+        "train", "--cache", pipe.feats / "train.lspg", "--out", models, "--seed", SEED,
+        *FAST, "--set", "train.batch_size=4",
+    ) == 0
+    assert _run("evaluate", "--models", models, "--cache", pipe.feats / "test.lspg", "--out", out, *FAST) == 0
+    assert hashlib.sha256((models / "model_000.sdm").read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
+    assert hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest() == GOLDEN_PREDICTIONS_SHA256
+
+
+def _assert_one_error_line(code, capsys, category):
+    err = capsys.readouterr().err
+    assert code == 2
+    lines = err.splitlines()  # one error line, so no traceback either
+    assert len(lines) == 1 and lines[0].startswith(f"error:{category}: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("keep", [10, 19, 30, -100])  # file header, record header, speaker id, values
+def test_truncated_cache_is_a_data_error(pipe, tmp_path, capsys, keep):
+    blob = (pipe.feats / "train.lspg").read_bytes()
+    cut = tmp_path / "cut.lspg"
+    cut.write_bytes(blob[:keep])
+    code = _run("train", "--cache", cut, "--out", tmp_path / "m", *FAST)
+    assert "cut off" in _assert_one_error_line(code, capsys, "data")
+    code = _run("evaluate", "--models", pipe.models, "--cache", cut, "--out", tmp_path / "e", *FAST)
+    assert "cut off" in _assert_one_error_line(code, capsys, "data")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_zero_record_cache_is_a_data_error(pipe, tmp_path, capsys, jobs):
+    empty = tmp_path / "empty.lspg"
+    empty.write_bytes(CACHE_MAGIC + struct.pack("<HIII", CACHE_VERSION, 513, 125, 0))
+    code = _run("train", "--cache", empty, "--out", tmp_path / "m", "--jobs", jobs, *FAST)
+    assert "no records" in _assert_one_error_line(code, capsys, "data")
+    code = _run("evaluate", "--models", pipe.models, "--cache", empty, "--out", tmp_path / "e", *FAST)
+    assert "no records" in _assert_one_error_line(code, capsys, "data")
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda row: row[:3], "expected 5 columns, got 3"),
+        (lambda row: row + ["extra"], "expected 5 columns, got 6"),
+        (lambda row: row[:2] + ["2"] + row[3:], "label must be 0 or 1"),
+        (lambda row: row[:4] + ["long"], "duration_s is not a number"),
+    ],
+    ids=["3 columns", "6 columns", "label 2", "bad duration"],
+)
+def test_bad_manifest_row_is_a_data_error(pipe, tmp_path, capsys, mangle, message):
+    header, *rows = (pipe.corpus / "manifest.csv").read_text().splitlines()
+    rows[1] = ",".join(mangle(rows[1].split(",")))
+    bad = tmp_path / "manifest.csv"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    code = _run("featurize", "--manifest", bad, "--out", tmp_path / "f", *FAST)
+    line = _assert_one_error_line(code, capsys, "data")
+    assert f"{bad}:3: {message}" in line

@@ -16,6 +16,7 @@ from speechdep.network import (
     save_model,
     zeros_like_params,
 )
+from speechdep.network import _sigmoid  # the oracle scores logits with the network's own sigmoid
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
@@ -235,3 +236,116 @@ def test_network_config_validation():
         NetworkConfig(freq_bins=5, time_steps=5, pool_stride=0)
     cfg = NetworkConfig(freq_bins=5, time_steps=5)
     assert cfg.pool_pad == cfg.pool_stride  # defaulted
+
+
+# ---------------------------------------------------------------- batched path vs loop oracle
+#
+# The oracle is the batched forward/backward as first written: a Python loop
+# over pooled steps for the pool forward and one np.add.at per pooled step for
+# the pool scatter. The vectorised code must match it bit for bit.
+
+
+def _oracle_forward_batch(params, xs, cfg):
+    batch = xs.shape[0]
+    x2 = xs.transpose(1, 0, 2).reshape(cfg.freq_bins, batch * cfg.time_steps)
+    conv_pre = (params.w_conv @ x2).reshape(cfg.filters, batch, cfg.time_steps)
+    conv_pre = conv_pre.transpose(1, 0, 2) + params.b_conv[None, :, None]
+    conv_act = np.maximum(conv_pre, 0.0)
+    t_out = cfg.pooled_steps
+    pool_values = np.empty((batch, cfg.filters, t_out))
+    pool_argmax = np.empty((batch, cfg.filters, t_out), dtype=np.int64)
+    for j in range(t_out):
+        lo = j * cfg.pool_stride
+        window = conv_act[:, :, lo : lo + cfg.pool_kernel]
+        pool_values[:, :, j] = window.max(axis=2)
+        pool_argmax[:, :, j] = lo + window.argmax(axis=2)
+    flat = pool_values.reshape(batch, cfg.flat_size)
+    hidden_pre = flat @ params.w_hidden.T + params.b_hidden
+    hidden_act = np.maximum(hidden_pre, 0.0)
+    logits = hidden_act @ params.w_out + params.b_out
+    return dict(
+        operand=x2, conv_pre=conv_pre, pool_values=pool_values, pool_argmax=pool_argmax,
+        flat=flat, hidden_pre=hidden_pre, hidden_act=hidden_act, probs=_sigmoid(logits),
+    )
+
+
+def _oracle_backward_batch(params, cache, xs, ys, cfg):
+    batch = xs.shape[0]
+    d_logits = (cache["probs"] - ys) / batch
+    g_w_out = cache["hidden_act"].T @ d_logits
+    g_b_out = float(d_logits.sum())
+    d_hidden_pre = np.outer(d_logits, params.w_out) * (cache["hidden_pre"] > 0.0)
+    g_w_hidden = d_hidden_pre.T @ cache["flat"]
+    g_b_hidden = d_hidden_pre.sum(axis=0)
+    d_pool = (d_hidden_pre @ params.w_hidden).reshape(cache["pool_values"].shape)
+    d_act = np.zeros_like(cache["conv_pre"])
+    b_idx, f_idx = np.indices((batch, cfg.filters))
+    for j in range(cfg.pooled_steps):
+        np.add.at(d_act, (b_idx, f_idx, cache["pool_argmax"][:, :, j]), d_pool[:, :, j])
+    d_conv_pre = d_act * (cache["conv_pre"] > 0.0)
+    dz2 = d_conv_pre.transpose(1, 0, 2).reshape(cfg.filters, batch * cfg.time_steps)
+    g_w_conv = dz2 @ cache["operand"].T
+    g_b_conv = d_conv_pre.sum(axis=(0, 2))
+    return NetworkParams(g_w_conv, g_b_conv, g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+
+
+BATCH_CACHE_FIELDS = (
+    "operand", "conv_pre", "pool_values", "pool_argmax", "flat", "hidden_pre", "hidden_act", "probs"
+)
+
+POOL_GEOMETRIES = {
+    "reference 5/4": dict(time_steps=33, pool_kernel=5, pool_stride=4),
+    "4/3": dict(time_steps=31, pool_kernel=4, pool_stride=3),
+    "kernel = stride": dict(time_steps=30, pool_kernel=3, pool_stride=3),
+    "kernel < stride": dict(time_steps=29, pool_kernel=2, pool_stride=5),
+    "kernel >= 2 stride": dict(time_steps=34, pool_kernel=9, pool_stride=4),
+    "kernel past the end": dict(time_steps=6, pool_kernel=8, pool_stride=4),
+    "kernel 1 stride 1": dict(time_steps=17, pool_kernel=1, pool_stride=1),
+}
+
+
+def _assert_batch_matches_oracle(params, xs, ys, cfg):
+    cache = forward_batch(params, xs, cfg)
+    oracle = _oracle_forward_batch(params, xs, cfg)
+    for name in BATCH_CACHE_FIELDS:
+        got, want = getattr(cache, name), oracle[name]
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    grads = backward_batch(params, cache, xs, ys, cfg)
+    want = _oracle_backward_batch(params, oracle, xs, ys, cfg)
+    for name in PARAM_FIELDS:
+        assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+    return grads
+
+
+def _tie_heavy_instance(cfg, batch, seed):
+    """Inputs with repeated time columns and filters biased dead, so windows tie and go all-zero."""
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed)
+    params.b_conv += rng.normal(scale=0.3, size=cfg.filters)
+    params.b_conv[: cfg.filters // 3] = -50.0  # these filters are zero after ReLU everywhere
+    params.b_hidden += rng.normal(scale=0.1, size=cfg.hidden)
+    xs = rng.uniform(size=(batch, cfg.freq_bins, cfg.time_steps))
+    xs[:, :, 1::2] = xs[:, :, : cfg.time_steps // 2 * 2 : 2]  # pairs of equal columns
+    ys = rng.integers(0, 2, size=batch).astype(np.float64)
+    return params, xs, ys
+
+
+@pytest.mark.parametrize("geometry", sorted(POOL_GEOMETRIES))
+def test_batched_path_is_bitwise_equal_to_loop_oracle(geometry):
+    cfg = NetworkConfig(freq_bins=19, filters=7, hidden=6, **POOL_GEOMETRIES[geometry])
+    params, xs, ys = _tie_heavy_instance(cfg, batch=11, seed=len(geometry))
+    cache = forward_batch(params, xs, cfg)
+    assert (cache.pool_values == 0.0).any()  # all-zero windows are exercised
+    for _ in range(3):  # a few Adadelta steps, re-checked from each new point
+        grads = _assert_batch_matches_oracle(params, xs, ys, cfg)
+        params = NetworkParams(
+            *(getattr(params, n) - 0.5 * getattr(grads, n) for n in PARAM_FIELDS[:-1]),
+            params.b_out - 0.5 * grads.b_out,
+        )
+
+
+def test_batched_path_is_bitwise_equal_to_loop_oracle_at_reference_geometry():
+    cfg = NetworkConfig(freq_bins=513, time_steps=125)
+    params, xs, ys = _tie_heavy_instance(cfg, batch=6, seed=3)
+    _assert_batch_matches_oracle(params, xs, ys, cfg)
