@@ -238,13 +238,13 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
 
 # ------------------------------------------------------------ featurize
 
-def _crop_spans(entry_path: Path, cfg_values: dict) -> list[int]:
-    """Crop indices available for one clip after silence trimming."""
+def _crop_spans(entry_path: Path, cfg_values: dict) -> tuple[list[int], int]:
+    """Crop indices available for one clip after silence trimming, and its sample rate."""
     clip = trim_silence(
         load_wav(entry_path), cfg_values["trim.frame_s"], cfg_values["trim.floor_db"]
     )
     crop_len = int(round(cfg_values["sampling.crop_s"] * clip.sample_rate))
-    return list(range(clip.samples.size // crop_len))
+    return list(range(clip.samples.size // crop_len)), clip.sample_rate
 
 
 def _featurize_speaker(task) -> tuple[str, list]:
@@ -302,8 +302,14 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
 
     counts = {}
     spans = {}
+    first_rate = None
     for e in train_entries + test_entries:
-        indices = _crop_spans(manifest_dir / e.path, cfg.values)
+        path = manifest_dir / e.path
+        indices, rate = _crop_spans(path, cfg.values)
+        if first_rate is None:
+            first_path, first_rate = path, rate
+        elif rate != first_rate:
+            raise CliError("data", f"{path} is sampled at {rate} Hz, but {first_path} at {first_rate} Hz")
         counts[e.speaker_id] = len(indices)
         spans[e.speaker_id] = indices
 
@@ -430,7 +436,7 @@ def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Pa
     features, net_cfg, pool, _ = _load_pool(models_dir, cache_path)
     truth = speaker_labels(features)
     threshold = cfg["ensemble.threshold"]
-    sets = [prediction_set_for(m, params, net_cfg, features, threshold) for m, params in enumerate(pool)]
+    sets = prediction_set_for(pool, net_cfg, features, threshold)
     ens_cfg = cfg.ensemble_config(machines=len(sets))
     fused = fuse(sets, ens_cfg)
     report = metrics(confusion(truth, fused))
@@ -473,7 +479,7 @@ def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path,
     features, net_cfg, pool, _ = _load_pool(models_dir, cache_path)
     truth = speaker_labels(features)
     threshold = cfg["ensemble.threshold"]
-    sets = [prediction_set_for(m, params, net_cfg, features, threshold) for m, params in enumerate(pool)]
+    sets = prediction_set_for(pool, net_cfg, features, threshold)
     m_values = _parse_m_values(cfg["curve.m_values"], len(sets))
     n_combinations = cfg["curve.n_combinations"]
     seed = cfg["seed"]

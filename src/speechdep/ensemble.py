@@ -41,17 +41,33 @@ class PredictionSet:
                 raise ValueError(f"speaker {speaker} has probabilities outside [0, 1]")
 
     @classmethod
+    def from_pool(cls, speaker_ids, crop_indices, probs, threshold=0.5) -> list["PredictionSet"]:
+        """One set per row of a (machines, samples) probability array, grouped by speaker.
+
+        Machine m is row m. All sets share one crops dict, which lets the
+        fusion consistency check skip comparing their crop indices.
+        """
+        probs = np.asarray(probs, dtype=np.float64)
+        crop_indices = np.asarray(crop_indices, dtype=np.int64)
+        if probs.ndim != 2 or probs.shape[1] != len(speaker_ids) or crop_indices.shape != (len(speaker_ids),):
+            raise ValueError(f"{len(speaker_ids)} speaker ids do not align with probabilities {probs.shape}")
+        rows: dict[str, list[int]] = {}
+        for i, speaker in enumerate(speaker_ids):
+            rows.setdefault(speaker, []).append(i)
+        crops_d = {s: crop_indices[idx] for s, idx in rows.items()}
+        sets = []
+        for machine, machine_probs in enumerate(probs):
+            probs_d = {s: machine_probs[idx] for s, idx in rows.items()}
+            labels_d = {s: sample_labels(p, threshold) for s, p in probs_d.items()}
+            sets.append(cls(machine, probs_d, crops_d, labels_d))
+        return sets
+
+    @classmethod
     def from_samples(cls, machine, speaker_ids, crop_indices, probs, threshold=0.5):
-        """Group aligned (speaker, crop, probability) triples by speaker."""
-        grouped_p: dict[str, list[float]] = {}
-        grouped_c: dict[str, list[int]] = {}
-        for speaker, crop_index, p in zip(speaker_ids, crop_indices, probs, strict=True):
-            grouped_p.setdefault(speaker, []).append(float(p))
-            grouped_c.setdefault(speaker, []).append(int(crop_index))
-        probs_d = {s: np.asarray(v, dtype=np.float64) for s, v in grouped_p.items()}
-        crops_d = {s: np.asarray(v, dtype=np.int64) for s, v in grouped_c.items()}
-        labels_d = {s: sample_labels(v, threshold) for s, v in probs_d.items()}
-        return cls(machine, probs_d, crops_d, labels_d)
+        """Group aligned (speaker, crop, probability) triples of one machine by speaker."""
+        [ps] = cls.from_pool(list(speaker_ids), list(crop_indices), [list(probs)], threshold)
+        ps.machine = machine
+        return ps
 
     @property
     def speakers(self) -> list[str]:
@@ -101,12 +117,15 @@ def speaker_label_mode(labels, rng) -> int:
 def _check_consistent(sets: list[PredictionSet]) -> list[str]:
     if not sets:
         raise ValueError("no prediction sets")
-    speakers = sets[0].speakers
+    first = sets[0]
+    speakers = first.speakers
     for ps in sets[1:]:
         if ps.speakers != speakers:
-            raise ValueError(f"machine {ps.machine} covers different speakers than machine {sets[0].machine}")
+            raise ValueError(f"machine {ps.machine} covers different speakers than machine {first.machine}")
         for s in speakers:
-            if ps.probs[s].size != sets[0].probs[s].size or np.any(ps.crops[s] != sets[0].crops[s]):
+            # sets predicted from one pool share their crop arrays; only sizes can differ
+            same_crops = ps.crops[s] is first.crops[s] or np.array_equal(ps.crops[s], first.crops[s])
+            if ps.probs[s].size != first.probs[s].size or not same_crops:
                 raise ValueError(f"machine {ps.machine} has inconsistent samples for speaker {s}")
     return speakers
 

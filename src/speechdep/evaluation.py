@@ -142,16 +142,26 @@ def kfold_split(labels, k: int, seed: int = 0) -> FoldPlan:
 
 
 def predict_speaker_probs(
-    params: NetworkParams, net_cfg: NetworkConfig, features, batch_size: int = 256
+    pool: list[NetworkParams], net_cfg: NetworkConfig, features, batch_size: int = 256
 ) -> np.ndarray:
-    """Class-1 probabilities aligned with the given feature list."""
-    probs = []
+    """Class-1 probabilities of every machine: (machines, crops), crops in feature order.
+
+    Each batch's (freq_bins, batch*time_steps) conv operand is built once and
+    handed to every machine as a (batch, freq_bins, time_steps) view, so
+    forward_batch's own operand is that same buffer rather than a copy.
+    """
+    shape = (net_cfg.freq_bins, net_cfg.time_steps)
+    probs = np.empty((len(pool), len(features)))
     for lo in range(0, len(features), batch_size):
-        chunk = np.stack(
-            [np.asarray(f.values, dtype=np.float64) for f in features[lo : lo + batch_size]]
-        )
-        probs.append(forward_batch(params, chunk, net_cfg).probs)
-    return np.concatenate(probs) if probs else np.empty(0)
+        chunk = features[lo : lo + batch_size]
+        bad = [f for f in chunk if f.values.shape != shape]
+        if bad:
+            raise ValueError(f"feature shape {bad[0].values.shape} does not fit model {shape}")
+        operand = np.concatenate([f.values for f in chunk], axis=1, dtype=np.float64)
+        xs = operand.reshape(shape[0], len(chunk), shape[1]).transpose(1, 0, 2)
+        for m, params in enumerate(pool):
+            probs[m, lo : lo + len(chunk)] = forward_batch(params, xs, net_cfg).probs
+    return probs
 
 
 def speaker_labels(features) -> dict[str, int]:
@@ -164,15 +174,12 @@ def speaker_labels(features) -> dict[str, int]:
 
 
 def prediction_set_for(
-    machine: int, params: NetworkParams, net_cfg: NetworkConfig, features, threshold: float = 0.5
-) -> PredictionSet:
-    probs = predict_speaker_probs(params, net_cfg, features)
-    return PredictionSet.from_samples(
-        machine,
-        [f.speaker_id for f in features],
-        [f.crop_index for f in features],
-        probs,
-        threshold,
+    pool: list[NetworkParams], net_cfg: NetworkConfig, features, threshold: float = 0.5
+) -> list[PredictionSet]:
+    """One PredictionSet per machine of the pool; all of them share one crops dict."""
+    probs = predict_speaker_probs(pool, net_cfg, features)
+    return PredictionSet.from_pool(
+        [f.speaker_id for f in features], [f.crop_index for f in features], probs, threshold
     )
 
 
@@ -224,10 +231,7 @@ def cross_validate(
         params_list, hist_list = train_ensemble(
             fold_train, net_cfg, train_cfg, ens_cfg.machines, val_features=fold_val
         )
-        sets = [
-            prediction_set_for(m, params, net_cfg, test_features, ens_cfg.threshold)
-            for m, params in enumerate(params_list)
-        ]
+        sets = prediction_set_for(params_list, net_cfg, test_features, ens_cfg.threshold)
         fused = fuse(sets, ens_cfg)
         fold_reports.append(metrics(confusion(test_truth, fused)))
         fold_predictions.append(fused)

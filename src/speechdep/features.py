@@ -188,6 +188,8 @@ def read_feature_cache(path, normalize: bool = True) -> list[LogSpectrogram]:
         speaker_id = raw[pos : pos + sid_len].decode("utf-8")
         pos += sid_len
         crop_index, label = struct.unpack_from("<IB", raw, pos)
+        if label not in (0, 1):
+            raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
         pos += 5
         values = np.frombuffer(raw, dtype="<f4", count=n_values, offset=pos).reshape(
             freq_bins, time_steps

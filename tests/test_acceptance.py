@@ -348,10 +348,8 @@ def reference_run(tmp_path_factory):
         "--out", str(models), "--seed", "11", *REFERENCE_ARGS,
     ]) == 0
     features = read_feature_cache(feats / "test.lspg")
-    sets = []
-    for m in range(10):
-        net_cfg, params = load_model(models / f"model_{m:03d}.sdm")
-        sets.append(prediction_set_for(m, params, net_cfg, features))
+    loaded = [load_model(models / f"model_{m:03d}.sdm") for m in range(10)]
+    sets = prediction_set_for([params for _, params in loaded], loaded[0][0], features)
     return SimpleNamespace(sets=sets, truth=speaker_labels(features))
 
 

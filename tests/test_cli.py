@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+import shutil
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from speechdep.audio_io import AudioClip, load_wav, write_wav
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
 from speechdep.ensemble import fuse_method1, read_predictions_csv
 from speechdep.evaluation import confusion, metrics, prediction_set_for, speaker_labels
@@ -146,7 +148,7 @@ def test_evaluate_m1_equals_library_single_machine(pipe, tmp_path):
 
     features = read_feature_cache(pipe.feats / "test.lspg")
     net_cfg, params = load_model(solo / "model_000.sdm")
-    ps = prediction_set_for(0, params, net_cfg, features)
+    [ps] = prediction_set_for([params], net_cfg, features)
     expected = metrics(confusion(speaker_labels(features), fuse_method1([ps])))
     summary = json.loads((out / "run_summary.json").read_text())["summary"]
     assert summary["machines"] == 1
@@ -236,18 +238,30 @@ def test_schema_types_are_consistent():
 # a change that is meant to move them must say so and record the new values.
 GOLDEN_MODEL_SHA256 = "b7cdaf99d2ae5abab9be782fc1f4e92e81b5fa8435329c7b67c021c26c099c65"
 GOLDEN_PREDICTIONS_SHA256 = "8032ae86993d9eda1f6462aeaf4e6199ca079c6b0af6e111eacdc61bcfcd67ca"
+GOLDEN_METRICS_SHA256 = "ea831eb146c0046a2176e88d40fef861665ef584ef9e4f92568ff2114fdfc567"
+GOLDEN_CURVE_SHA256 = "81aee21702133b0df426af275ba5a790927df9913dd0f95601282f48e2403008"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_golden_model_and_predictions(pipe, tmp_path):
-    models, out = tmp_path / "models", tmp_path / "eval"
+    models, out, curve = tmp_path / "models", tmp_path / "eval", tmp_path / "curve"
     # batch 4 over 6 crops: a full and a partial batch per epoch
     assert _run(
         "train", "--cache", pipe.feats / "train.lspg", "--out", models, "--seed", SEED,
         *FAST, "--set", "train.batch_size=4",
     ) == 0
     assert _run("evaluate", "--models", models, "--cache", pipe.feats / "test.lspg", "--out", out, *FAST) == 0
-    assert hashlib.sha256((models / "model_000.sdm").read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
-    assert hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest() == GOLDEN_PREDICTIONS_SHA256
+    assert _run(
+        "curve", "--models", models, "--cache", pipe.feats / "test.lspg", "--out", curve,
+        *FAST, "--set", "curve.m_values=1,2",
+    ) == 0
+    assert _sha256(models / "model_000.sdm") == GOLDEN_MODEL_SHA256
+    assert _sha256(out / "predictions.csv") == GOLDEN_PREDICTIONS_SHA256
+    assert _sha256(out / "metrics.csv") == GOLDEN_METRICS_SHA256
+    assert _sha256(curve / "curve.csv") == GOLDEN_CURVE_SHA256
 
 
 def _assert_one_error_line(code, capsys, category):
@@ -297,3 +311,40 @@ def test_bad_manifest_row_is_a_data_error(pipe, tmp_path, capsys, mangle, messag
     code = _run("featurize", "--manifest", bad, "--out", tmp_path / "f", *FAST)
     line = _assert_one_error_line(code, capsys, "data")
     assert f"{bad}:3: {message}" in line
+
+
+def _with_label(cache, record, label, out):
+    """Copy of a cache with one record's label byte replaced."""
+    blob = bytearray(cache.read_bytes())
+    freq_bins, time_steps = struct.unpack_from("<II", blob, 6)
+    pos = 4 + 14
+    for _ in range(record):
+        (sid_len,) = struct.unpack_from("<H", blob, pos)
+        pos += 2 + sid_len + 5 + 4 * freq_bins * time_steps
+    (sid_len,) = struct.unpack_from("<H", blob, pos)
+    blob[pos + 2 + sid_len + 4] = label
+    out.write_bytes(bytes(blob))
+    return out
+
+
+def test_cache_label_byte_is_a_data_error(pipe, tmp_path, capsys):
+    train = _with_label(pipe.feats / "train.lspg", 1, 7, tmp_path / "train.lspg")
+    count = len(read_feature_cache(pipe.feats / "train.lspg"))
+    code = _run("train", "--cache", train, "--out", tmp_path / "m", *FAST)
+    assert f"record 1 of {count}: label must be 0 or 1, got 7" in _assert_one_error_line(code, capsys, "data")
+    test = _with_label(pipe.feats / "test.lspg", 0, 7, tmp_path / "test.lspg")
+    for stage in ("evaluate", "curve"):
+        code = _run(stage, "--models", pipe.models, "--cache", test, "--out", tmp_path / stage, *FAST)
+        assert "record 0 of" in _assert_one_error_line(code, capsys, "data")
+
+
+def test_mixed_sample_rates_are_a_data_error(pipe, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipe.corpus, corpus)
+    header, *rows = (corpus / "manifest.csv").read_text().splitlines()
+    first, odd = (corpus / row.split(",")[1] for row in (rows[0], rows[2]))
+    clip = load_wav(odd)
+    write_wav(odd, AudioClip(clip.samples[::2], 8000, clip.speaker_id))
+    code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
+    line = _assert_one_error_line(code, capsys, "data")
+    assert f"{odd} is sampled at 8000 Hz, but {first} at 16000 Hz" in line

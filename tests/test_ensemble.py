@@ -188,6 +188,34 @@ def test_inconsistent_sets_are_rejected():
         fuse_method2([a, c], RaisingRng())
 
 
+def _set_with_crops(machine, probs, crops):
+    probs = {"spk": np.asarray(probs, dtype=np.float64)}
+    return PredictionSet(machine, probs, crops, {"spk": sample_labels(probs["spk"])})
+
+
+def test_shared_crops_still_check_probs_sizes():
+    crops = {"spk": np.arange(2)}
+    a = _set_with_crops(0, [0.1, 0.9], crops)
+    b = _set_with_crops(1, [0.1, 0.9, 0.5], crops)
+    assert a.crops is b.crops
+    for fusion in (lambda sets: fuse_method1(sets), lambda sets: fuse_method2(sets, RaisingRng())):
+        with pytest.raises(ValueError, match="inconsistent"):
+            fusion([a, b])
+    assert fuse_method1([a, _set_with_crops(2, [0.2, 0.6], crops)]) == {"spk": 0}
+
+
+def test_distinct_crop_arrays_are_compared_by_value():
+    a = _set_with_crops(0, [0.1, 0.9], {"spk": np.array([0, 1])})
+    b = _set_with_crops(1, [0.1, 0.9], {"spk": np.array([0, 2])})
+    with pytest.raises(ValueError, match="inconsistent"):
+        fuse_method3([a, b], RaisingRng())
+    short = _set_with_crops(2, [0.1, 0.9], {"spk": np.array([0])})
+    with pytest.raises(ValueError, match="inconsistent"):
+        fuse_method1([a, short])
+    equal = _set_with_crops(3, [0.3, 0.6], {"spk": np.array([0, 1])})
+    assert fuse_method1([a, equal]) == {"spk": 0}
+
+
 def test_fuse_dispatcher_counts_and_seeding():
     sets = _sets_from_labels([[1, 0], [0, 1]])
     cfg = EnsembleConfig(machines=2, method=2, tie_seed=77)

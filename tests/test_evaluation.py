@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speechdep import evaluation
 from speechdep.ensemble import EnsembleConfig
 from speechdep.evaluation import (
     ConfusionCounts,
@@ -14,7 +15,7 @@ from speechdep.evaluation import (
     write_metrics_csv,
 )
 from speechdep.features import LogSpectrogram
-from speechdep.network import NetworkConfig, forward, init_params
+from speechdep.network import NetworkConfig, forward, forward_batch, init_params
 from speechdep.trainer import TrainConfig
 
 
@@ -155,7 +156,7 @@ def test_predict_speaker_probs_matches_single_forward():
     net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
     params = init_params(net, 3)
     feats = _toy_features({"a": 0, "b": 1}, crops_per_speaker=3)
-    probs = predict_speaker_probs(params, net, feats, batch_size=2)
+    [probs] = predict_speaker_probs([params], net, feats, batch_size=2)
     singles = [forward(params, f.values, net)[0] for f in feats]
     np.testing.assert_allclose(probs, singles, rtol=1e-10)
 
@@ -164,10 +165,70 @@ def test_prediction_set_groups_by_speaker():
     net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
     params = init_params(net, 3)
     feats = _toy_features({"a": 0, "b": 1}, crops_per_speaker=2)
-    ps = prediction_set_for(7, params, net, feats)
-    assert ps.machine == 7
+    [ps] = prediction_set_for([params], net, feats)
+    assert ps.machine == 0
     assert ps.speakers == ["a", "b"]
     assert ps.probs["a"].size == 2
+
+
+def _per_machine_probs(params, net, features, batch_size):
+    """The per-machine path pool prediction replaced: stack each chunk, then forward_batch."""
+    probs = []
+    for lo in range(0, len(features), batch_size):
+        chunk = np.stack([np.asarray(f.values, dtype=np.float64) for f in features[lo : lo + batch_size]])
+        probs.append(forward_batch(params, chunk, net).probs)
+    return np.concatenate(probs)
+
+
+def test_pool_prediction_is_bitwise_the_per_machine_path(monkeypatch):
+    net = NetworkConfig(freq_bins=4, time_steps=6, filters=3, pool_kernel=3, pool_stride=2, hidden=4)
+    pool = [init_params(net, seed) for seed in (11, 12, 13)]
+    feats = _toy_features({"a": 0, "b": 1, "c": 1}, crops_per_speaker=2, seed=7)[:5]
+    calls = []
+
+    def spy(params, xs, cfg):
+        cache = forward_batch(params, xs, cfg)
+        calls.append((len(xs), cache.operand))
+        return cache
+
+    monkeypatch.setattr(evaluation, "forward_batch", spy)
+    probs = predict_speaker_probs(pool, net, feats, batch_size=2)
+    monkeypatch.undo()
+
+    expected = np.stack([_per_machine_probs(params, net, feats, 2) for params in pool])
+    assert probs.shape == (3, 5)
+    assert np.array_equal(probs, expected)
+    assert len(set(probs[:, 0])) == 3  # the machines really differ
+
+    # batch outer, machine inner: chunks of 2, 2 and 1, each scored by all three machines
+    assert [n for n, _ in calls] == [2, 2, 2, 2, 2, 2, 1, 1, 1]
+    operands = [op for _, op in calls]
+    for chunk in range(3):
+        first, *rest = operands[3 * chunk : 3 * chunk + 3]
+        assert all(np.shares_memory(first, op) for op in rest)
+        assert chunk == 0 or not np.shares_memory(first, operands[3 * chunk - 1])
+
+
+def test_prediction_sets_share_one_crops_dict():
+    net = _toy_net()
+    pool = [init_params(net, seed) for seed in (1, 2)]
+    feats = _toy_features({"b": 1, "a": 0}, crops_per_speaker=3)
+    sets = prediction_set_for(pool, net, feats, threshold=0.5)
+    assert [ps.machine for ps in sets] == [0, 1]
+    assert sets[0].crops is sets[1].crops
+    probs = predict_speaker_probs(pool, net, feats)
+    for m, ps in enumerate(sets):
+        assert np.array_equal(ps.probs["b"], probs[m, :3]) and np.array_equal(ps.probs["a"], probs[m, 3:])
+        assert np.array_equal(ps.labels["a"], (probs[m, 3:] >= 0.5).astype(np.int64))
+    assert np.array_equal(sets[0].crops["a"], [0, 1, 2])
+
+
+def test_predict_rejects_features_of_another_shape():
+    net = _toy_net()
+    feats = _toy_features({"a": 0}, crops_per_speaker=2, shape=(4, 7))
+    feats[0].values = feats[0].values[:, :5]  # 5 + 7 columns would reshape into two of 6
+    with pytest.raises(ValueError, match="does not fit model"):
+        predict_speaker_probs([init_params(net, 0)], net, feats)
 
 
 def _toy_net():
