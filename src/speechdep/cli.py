@@ -16,6 +16,7 @@ Failures exit nonzero after printing one line to stderr of the form
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +48,7 @@ from .evaluation import (
     prediction_set_for,
     write_metrics_csv,
 )
-from .features import StftConfig, featurize_raw, read_feature_cache, write_feature_cache
+from .features import FeatureSet, StftConfig, featurize_raw, read_feature_cache, write_feature_cache
 from .network import NetworkConfig, load_model, save_model
 from .sampling import SampleCrop, crop, materialize_eval_set, materialize_training_set, plan_balanced
 from .trainer import TrainConfig, TrainingDivergedError, train, write_history_csv
@@ -363,47 +364,41 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
 
 # ---------------------------------------------------------------- train
 
-def _read_cache(cache_path) -> list:
+def _read_cache(cache_path) -> FeatureSet:
     features = read_feature_cache(cache_path)
     if not features:
         raise CliError("data", f"feature cache {cache_path} holds no records")
     return features
 
 
-def _train_machine(task) -> tuple[int, str, float]:
-    """Worker: train machine m from the cache and write its artifacts."""
-    cache_path, out_dir, cfg_values, machine = task
-    cfg = RunConfig(cfg_values)
-    features = _read_cache(cache_path)
-    net_cfg = cfg.network_config(*features[0].shape)
+def _fit_machine(features: FeatureSet, cfg: RunConfig, out_dir: Path, machine: int) -> tuple[int, str, float]:
+    """Train machine m on an already-read feature set and write its artifacts."""
+    net_cfg = cfg.network_config(*features.record_shape)
     train_cfg = cfg.train_config()
     params, history = train(features, net_cfg, train_cfg, init_seed=train_cfg.seed + machine)
     model_name = f"model_{machine:03d}.sdm"
-    save_model(Path(out_dir) / model_name, net_cfg, params)
-    write_history_csv(Path(out_dir) / f"history_{machine:03d}.csv", history)
+    save_model(out_dir / model_name, net_cfg, params)
+    write_history_csv(out_dir / f"history_{machine:03d}.csv", history)
     return machine, model_name, history.train_loss[-1]
+
+
+def _train_machine(task) -> tuple[int, str, float]:
+    """Worker: read the cache, then train machine m."""
+    cache_path, out_dir, cfg_values, machine = task
+    return _fit_machine(_read_cache(cache_path), RunConfig(cfg_values), Path(out_dir), machine)
 
 
 def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
     machines = cfg["ensemble.machines"]
-    tasks = [(str(cache_path), str(out_dir), cfg.values, m) for m in range(machines)]
     if jobs > 1:
+        tasks = [(str(cache_path), str(out_dir), cfg.values, m) for m in range(machines)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_train_machine, tasks))
     else:
         features = _read_cache(cache_path)
-        net_cfg = cfg.network_config(*features[0].shape)
-        train_cfg = cfg.train_config()
-        outcomes = []
-        for m in range(machines):
-            params, history = train(features, net_cfg, train_cfg, init_seed=train_cfg.seed + m)
-            model_name = f"model_{m:03d}.sdm"
-            save_model(out_dir / model_name, net_cfg, params)
-            write_history_csv(out_dir / f"history_{m:03d}.csv", history)
-            outcomes.append((m, model_name, history.train_loss[-1]))
-    outcomes.sort()
+        outcomes = [_fit_machine(features, cfg, out_dir, m) for m in range(machines)]
     return {
         "machines": machines,
         "models": [name for _, name, _ in outcomes],
@@ -423,8 +418,8 @@ def _load_pool(models_dir: Path, cache_path: Path):
     loaded = [load_model(p) for p in model_paths]
     net_cfg = loaded[0][0]
     shape = (net_cfg.freq_bins, net_cfg.time_steps)
-    if features[0].shape != shape:
-        raise CliError("data", f"cache features {features[0].shape} do not fit model {shape}")
+    if features.record_shape != shape:
+        raise CliError("data", f"cache features {features.record_shape} do not fit model {shape}")
     for path, (other_cfg, _) in zip(model_paths, loaded):
         if other_cfg != net_cfg:
             raise CliError("data", f"model {path} disagrees with the rest of the pool")
@@ -625,7 +620,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _keep_temporaries_resident() -> None:
+    """Fix glibc's malloc thresholds so numpy's per-pass temporaries are reused, not re-faulted.
+
+    glibc maps each allocation above a threshold that starts at 128 KB and
+    trims the heap top past twice the largest mapping freed so far. Network
+    passes allocate and free arrays of a few MB each, so until some larger
+    array happens to be freed, every pass maps or trims them again and
+    page-faults them anew. Fixed thresholds keep arrays under 32 MB on a heap
+    trimmed only past 64 MB of free top. Other C libraries are left as they are.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_temporaries_resident()
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import EnsembleConfig, PredictionSet, fuse
+from .features import FeatureSet
 from .network import NetworkConfig, NetworkParams, forward_batch
 from .trainer import TrainConfig, TrainHistory, train_ensemble
 
@@ -146,30 +147,28 @@ def predict_speaker_probs(
 ) -> np.ndarray:
     """Class-1 probabilities of every machine: (machines, crops), crops in feature order.
 
-    Each batch's (freq_bins, batch*time_steps) conv operand is built once and
-    handed to every machine as a (batch, freq_bins, time_steps) view, so
-    forward_batch's own operand is that same buffer rather than a copy.
+    Each batch is normalized straight into a new (freq_bins, batch*time_steps)
+    conv operand and handed to every machine as a (batch, freq_bins,
+    time_steps) view, so forward_batch's own operand is that same buffer
+    rather than a copy.
     """
-    shape = (net_cfg.freq_bins, net_cfg.time_steps)
-    probs = np.empty((len(pool), len(features)))
-    for lo in range(0, len(features), batch_size):
-        chunk = features[lo : lo + batch_size]
-        bad = [f for f in chunk if f.values.shape != shape]
-        if bad:
-            raise ValueError(f"feature shape {bad[0].values.shape} does not fit model {shape}")
-        operand = np.concatenate([f.values for f in chunk], axis=1, dtype=np.float64)
-        xs = operand.reshape(shape[0], len(chunk), shape[1]).transpose(1, 0, 2)
+    data = FeatureSet.of(features, (net_cfg.freq_bins, net_cfg.time_steps))
+    probs = np.empty((len(pool), len(data)))
+    for lo in range(0, len(data), batch_size):
+        xs = data.batch(range(lo, min(lo + batch_size, len(data))))
         for m, params in enumerate(pool):
-            probs[m, lo : lo + len(chunk)] = forward_batch(params, xs, net_cfg).probs
+            probs[m, lo : lo + len(xs)] = forward_batch(params, xs, net_cfg).probs
+        del xs  # free this batch's operand before the next one is allocated
     return probs
 
 
 def speaker_labels(features) -> dict[str, int]:
+    data = FeatureSet.of(features)
     out: dict[str, int] = {}
-    for f in features:
-        prior = out.setdefault(f.speaker_id, f.label)
-        if prior != f.label:
-            raise ValueError(f"speaker {f.speaker_id} carries conflicting labels")
+    for speaker_id, label in zip(data.speaker_ids, data.labels):
+        prior = out.setdefault(speaker_id, label)
+        if prior != label:
+            raise ValueError(f"speaker {speaker_id} carries conflicting labels")
     return out
 
 
@@ -177,10 +176,9 @@ def prediction_set_for(
     pool: list[NetworkParams], net_cfg: NetworkConfig, features, threshold: float = 0.5
 ) -> list[PredictionSet]:
     """One PredictionSet per machine of the pool; all of them share one crops dict."""
-    probs = predict_speaker_probs(pool, net_cfg, features)
-    return PredictionSet.from_pool(
-        [f.speaker_id for f in features], [f.crop_index for f in features], probs, threshold
-    )
+    data = FeatureSet.of(features, (net_cfg.freq_bins, net_cfg.time_steps))
+    probs = predict_speaker_probs(pool, net_cfg, data)
+    return PredictionSet.from_pool(data.speaker_ids, data.crop_indices, probs, threshold)
 
 
 @dataclass
@@ -210,8 +208,10 @@ def cross_validate(
     """
     if not train_features or not test_features:
         raise ValueError("need non-empty train and test feature sets")
-    train_labels = speaker_labels(train_features)
-    test_truth = speaker_labels(test_features)
+    train_set = FeatureSet.of(train_features)
+    test_set = FeatureSet.of(test_features)
+    train_labels = speaker_labels(train_set)
+    test_truth = speaker_labels(test_set)
 
     if k == 1:
         val_sets: list[list[str]] = [[]]
@@ -226,12 +226,13 @@ def cross_validate(
 
     for fold, held_out in enumerate(val_sets):
         held = set(held_out)
-        fold_train = [f for f in train_features if f.speaker_id not in held]
-        fold_val = [f for f in train_features if f.speaker_id in held] or None
+        in_val = np.array([s in held for s in train_set.speaker_ids], dtype=bool)
+        fold_train = train_set.take(np.flatnonzero(~in_val))
+        fold_val = train_set.take(np.flatnonzero(in_val)) if held else None
         params_list, hist_list = train_ensemble(
             fold_train, net_cfg, train_cfg, ens_cfg.machines, val_features=fold_val
         )
-        sets = prediction_set_for(params_list, net_cfg, test_features, ens_cfg.threshold)
+        sets = prediction_set_for(params_list, net_cfg, test_set, ens_cfg.threshold)
         fused = fuse(sets, ens_cfg)
         fold_reports.append(metrics(confusion(test_truth, fused)))
         fold_predictions.append(fused)

@@ -5,20 +5,21 @@ A 4 s crop at 16 kHz with the default configuration (64 ms Hamming window,
 the non-negative FFT bins, and the frame count is floor(len / hop) with the
 tail frames zero-padded to the window length.
 
-The cache file stores pre-normalization log-magnitudes as float32 and
-normalization is applied on load, so the normalization strategy can change
-without re-extraction. Layout (little-endian): magic ``LSPG``, version u16,
-freq_bins u32, time_steps u32, record count u32, then per record a u16
-length-prefixed UTF-8 speaker id, crop_index u32, label u8, and
-freq_bins * time_steps float32 values in row-major (frequency-major) order.
+The cache file stores pre-normalization log-magnitudes as float32, so the
+normalization strategy can change without re-extraction. The reader holds a
+cache as one float32 block (a FeatureSet) and normalizes a batch at a time,
+straight into the network's input buffer. Layout (little-endian): magic
+``LSPG``, version u16, freq_bins u32, time_steps u32, record count u32, then
+per record a u16 length-prefixed UTF-8 speaker id, crop_index u32, label u8,
+and freq_bins * time_steps float32 values in row-major (frequency-major) order.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -164,39 +165,139 @@ def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
             fh.write(np.ascontiguousarray(f.values, dtype="<f4").tobytes())
 
 
-def read_feature_cache(path, normalize: bool = True) -> list[LogSpectrogram]:
-    """Load a cache file; features are min-max normalized unless normalize=False."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a feature cache file")
-    pos = 4 + 14
-    if len(raw) < pos:
-        raise ValueError(f"{path}: cut off inside the file header")
-    version, freq_bins, time_steps, count = struct.unpack_from("<HIII", raw, 4)
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    n_values = freq_bins * time_steps
-    out = []
-    for index in range(count):
-        cut_off = ValueError(f"{path}: cut off inside record {index} of {count}")
-        if len(raw) < pos + 2:
-            raise cut_off
-        (sid_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        if len(raw) < pos + sid_len + 5 + 4 * n_values:  # id, crop index, label, values
-            raise cut_off
-        speaker_id = raw[pos : pos + sid_len].decode("utf-8")
-        pos += sid_len
-        crop_index, label = struct.unpack_from("<IB", raw, pos)
-        if label not in (0, 1):
-            raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
-        pos += 5
-        values = np.frombuffer(raw, dtype="<f4", count=n_values, offset=pos).reshape(
-            freq_bins, time_steps
+def _minmax_terms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record lo and hi - lo of minmax_normalize, in float64; hi - lo is 0.0 where hi == lo."""
+    lo = block.min(axis=(1, 2)).astype(np.float64)  # min and max are exact in any float dtype
+    hi = block.max(axis=(1, 2)).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf of an all-inf record, whose span is 0.0 anyway
+        return lo, np.where(hi == lo, 0.0, hi - lo)
+
+
+@dataclass(eq=False)
+class FeatureSet(Sequence):
+    """Records of one shape, held as one (N, freq_bins, time_steps) block.
+
+    The network input of record i is (float64(block[i]) - lo[i]) / span[i],
+    minmax_normalize's arithmetic; span 0.0 marks a constant record, which
+    maps to zeros. A record already flagged normalized has lo 0.0 and span
+    1.0, an exact identity. Indexing yields LogSpectrogram records: float64
+    normalized copies, or views of the block when normalized is False.
+    """
+
+    block: np.ndarray
+    speaker_ids: list[str]
+    crop_indices: list[int]
+    labels: list[int]
+    lo: np.ndarray
+    span: np.ndarray
+    normalized: bool = True
+
+    @classmethod
+    def of(cls, features, shape=None) -> "FeatureSet":
+        """features as a FeatureSet, stacking a LogSpectrogram list; every record must have `shape`."""
+        shapes = {features.record_shape} if isinstance(features, cls) else {f.shape for f in features}
+        shape = tuple(shape or min(shapes, default=(0, 0)))
+        if shapes - {shape}:
+            raise ValueError(f"feature shape {min(shapes - {shape})} does not fit model {shape}")
+        if isinstance(features, cls):
+            return features
+        block = np.stack([f.values for f in features]) if features else np.empty((0, *shape))
+        lo, span = _minmax_terms(block)
+        done = np.array([f.normalized for f in features], dtype=bool)
+        lo[done], span[done] = 0.0, 1.0
+        return cls(
+            block,
+            [f.speaker_id for f in features],
+            [f.crop_index for f in features],
+            [f.label for f in features],
+            lo,
+            span,
         )
-        pos += 4 * n_values
-        feature = LogSpectrogram(values, speaker_id, crop_index, int(label), normalized=False)
-        out.append(normalize_feature(feature) if normalize else feature)
-    if pos != len(raw):
-        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
-    return out
+
+    def __len__(self) -> int:
+        return self.block.shape[0]
+
+    def __getitem__(self, index) -> LogSpectrogram:
+        index = range(len(self))[index]
+        values = self.batch([index])[0] if self.normalized else self.block[index]
+        return LogSpectrogram(
+            values, self.speaker_ids[index], self.crop_indices[index], self.labels[index], self.normalized
+        )
+
+    @property
+    def record_shape(self) -> tuple[int, int]:
+        return self.block.shape[1:]
+
+    def take(self, rows) -> "FeatureSet":
+        """The given records as a new set with its own block."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return FeatureSet(
+            self.block[rows],
+            [self.speaker_ids[i] for i in rows],
+            [self.crop_indices[i] for i in rows],
+            [self.labels[i] for i in rows],
+            self.lo[rows],
+            self.span[rows],
+            self.normalized,
+        )
+
+    def batch(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """Network input of the given records, a (len(rows), freq_bins, time_steps) float64 view.
+
+        The records are normalized into the (freq_bins, len(rows)*time_steps)
+        conv operand at the start of `out` (a flat float64 buffer, reused
+        across calls) or of a new buffer, so forward_batch's transpose-reshape
+        of the view is that operand itself, not a copy.
+        """
+        freq_bins, time_steps = self.record_shape
+        size = freq_bins * len(rows) * time_steps
+        buffer = np.empty(size) if out is None else out[:size]
+        xs = buffer.reshape(freq_bins, len(rows), time_steps).transpose(1, 0, 2)
+        for x, i in zip(xs, rows):
+            if self.span[i] == 0.0:
+                x.fill(0.0)
+            else:
+                np.subtract(self.block[i], self.lo[i], out=x, dtype=np.float64)
+                np.divide(x, self.span[i], out=x)
+        return xs
+
+
+def read_feature_cache(path, normalize: bool = True) -> FeatureSet:
+    """Load a cache file into one float32 block; records read normalized unless normalize=False."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(18)
+        if head[:4] != CACHE_MAGIC:
+            raise ValueError(f"{path}: not a feature cache file")
+        if len(head) < 18:
+            raise ValueError(f"{path}: cut off inside the file header")
+        version, freq_bins, time_steps, count = struct.unpack_from("<HIII", head, 4)
+        if version != CACHE_VERSION:
+            raise ValueError(f"{path}: unsupported cache version {version}")
+        n_bytes = 4 * freq_bins * time_steps
+        # a file too short for `count` records is cut off inside the first record
+        # beyond this capacity, so the block never outgrows the file
+        capacity = min(count, (size - 18) // (2 + 5 + n_bytes))
+        block = np.empty((capacity, freq_bins, time_steps), dtype="<f4")
+        speaker_ids, crop_indices, labels = [], [], []
+        pos = 18
+        for index in range(count):
+            cut_off = ValueError(f"{path}: cut off inside record {index} of {count}")
+            if size < pos + 2:
+                raise cut_off
+            (sid_len,) = struct.unpack("<H", fh.read(2))
+            pos += 2 + sid_len + 5 + n_bytes  # id, crop index, label, values
+            if size < pos:
+                raise cut_off
+            meta = fh.read(sid_len + 5)
+            speaker_ids.append(meta[:sid_len].decode("utf-8"))
+            crop_index, label = struct.unpack_from("<IB", meta, sid_len)
+            if label not in (0, 1):
+                raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
+            if fh.readinto(block[index]) != n_bytes:
+                raise cut_off
+            crop_indices.append(crop_index)
+            labels.append(label)
+    if pos != size:
+        raise ValueError(f"{path}: {size - pos} trailing bytes")
+    return FeatureSet(block, speaker_ids, crop_indices, labels, *_minmax_terms(block), normalized=normalize)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import FeatureSet
 from .network import (
     NetworkConfig,
     NetworkParams,
@@ -102,23 +103,19 @@ def adadelta_step(
     return new_params, AdadeltaState(eg2, edx2)
 
 
-def _stack(features) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([np.asarray(f.values, dtype=np.float64) for f in features])
-    ys = np.asarray([f.label for f in features], dtype=np.float64)
-    return xs, ys
-
-
-def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, xs, ys, batch_size: int = 256):
+def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, features, batch_size: int = 256):
     """(mean BCE, accuracy at threshold 0.5) over a feature set."""
+    data = FeatureSet.of(features, (cfg.freq_bins, cfg.time_steps))
+    ys = np.asarray(data.labels, dtype=np.float64)
     losses = []
     correct = 0
-    for lo in range(0, xs.shape[0], batch_size):
-        chunk_x = xs[lo : lo + batch_size]
+    n = len(data)
+    for lo in range(0, n, batch_size):
+        chunk_x = data.batch(range(lo, min(lo + batch_size, n)))
         chunk_y = ys[lo : lo + batch_size]
         probs = forward_batch(params, chunk_x, cfg).probs
         losses.append(batch_loss(probs, chunk_y) * chunk_x.shape[0])
         correct += int(np.sum((probs >= 0.5).astype(np.int64) == chunk_y.astype(np.int64)))
-    n = xs.shape[0]
     return sum(losses) / n, correct / n
 
 
@@ -129,32 +126,36 @@ def train(
     init_seed: int | None = None,
     val_features=None,
 ) -> tuple[NetworkParams, TrainHistory]:
-    """Train one network on a list of labelled feature matrices.
+    """Train one network on labelled feature records (a FeatureSet or a LogSpectrogram list).
 
-    init_seed defaults to cfg.seed; the shuffle order always derives from
-    cfg.seed alone so ensemble members can share it while differing in
+    Records flagged normalized=False are min-max normalized as each batch is
+    built. init_seed defaults to cfg.seed; the shuffle order always derives
+    from cfg.seed alone so ensemble members can share it while differing in
     initialisation.
     """
     if not features:
         raise ValueError("no training samples")
-    xs, ys = _stack(features)
-    if xs.shape[1:] != (net_cfg.freq_bins, net_cfg.time_steps):
-        raise ValueError(f"feature shape {xs.shape[1:]} does not match network config")
-    val = _stack(val_features) if val_features else None
+    shape = (net_cfg.freq_bins, net_cfg.time_steps)
+    if features[0].shape != shape:
+        raise ValueError(f"feature shape {features[0].shape} does not match network config")
+    data = FeatureSet.of(features, shape)
+    ys = np.asarray(data.labels, dtype=np.float64)
+    val = FeatureSet.of(val_features, shape) if val_features else None
+    n = len(data)
+    operand = np.empty(shape[0] * min(cfg.batch_size, n) * shape[1])  # every step's conv operand
 
     params = init_params(net_cfg, seed=cfg.seed if init_seed is None else init_seed)
     state = AdadeltaState.zeros(params)
     order_rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
 
-    n = xs.shape[0]
     for epoch in range(cfg.epochs):
         lr = lr_schedule(cfg, epoch)
         order = order_rng.permutation(n)
         epoch_loss = 0.0
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             take = order[lo : lo + cfg.batch_size]
-            bx, by = xs[take], ys[take]
+            bx, by = data.batch(take, operand), ys[take]
             cache = forward_batch(params, bx, net_cfg)
             loss = batch_loss(cache.probs, by)
             if not np.isfinite(loss):
@@ -162,14 +163,14 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             grads = backward_batch(params, cache, bx, by, net_cfg)
-            del cache  # its conv operand is a second copy of the batch; free it before the next gather
+            del cache  # free its per-step activations before the next forward
             params, state = adadelta_step(params, grads, state, lr, cfg.rho, cfg.eps)
             epoch_loss += loss * bx.shape[0]
 
         history.lr.append(lr)
         history.train_loss.append(epoch_loss / n)
         if val is not None:
-            val_loss, val_acc = evaluate_loss(params, net_cfg, *val)
+            val_loss, val_acc = evaluate_loss(params, net_cfg, val)
             history.val_loss.append(val_loss)
             history.val_acc.append(val_acc)
         else:

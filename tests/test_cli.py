@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -7,13 +9,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechdep.audio_io import AudioClip, load_wav, write_wav
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
 from speechdep.ensemble import fuse_method1, read_predictions_csv
 from speechdep.evaluation import confusion, metrics, prediction_set_for, speaker_labels
-from speechdep.features import CACHE_MAGIC, CACHE_VERSION, read_feature_cache
-from speechdep.network import load_model
+from speechdep.features import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
+    LogSpectrogram,
+    read_feature_cache,
+    write_feature_cache,
+)
+from speechdep.network import NetworkConfig, init_params, load_model, save_model
 
 SEED = 3
 FAST = [
@@ -137,6 +147,14 @@ def test_train_reruns_are_bitwise_identical(pipe, tmp_path):
         assert (pipe.models / name).read_bytes() == (again / name).read_bytes()
     summary = json.loads((pipe.models / "run_summary.json").read_text())["summary"]
     assert summary["models"] == ["model_000.sdm", "model_001.sdm"]
+
+
+def test_train_jobs_2_writes_the_jobs_1_bytes(pipe, tmp_path):
+    parallel = tmp_path / "models_jobs2"
+    cache = pipe.feats / "train.lspg"
+    assert _run("train", "--cache", cache, "--out", parallel, "--seed", SEED, "--jobs", 2, *FAST) == 0
+    for name in ("model_000.sdm", "model_001.sdm", "history_000.csv", "history_001.csv", "run_summary.json"):
+        assert (pipe.models / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_evaluate_m1_equals_library_single_machine(pipe, tmp_path):
@@ -348,3 +366,73 @@ def test_mixed_sample_rates_are_a_data_error(pipe, tmp_path, capsys):
     code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
     line = _assert_one_error_line(code, capsys, "data")
     assert f"{odd} is sampled at 8000 Hz, but {first} at 16000 Hz" in line
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """A valid 3-record 4x6 cache, a model that fits it, and where each record's label byte sits."""
+    root = tmp_path_factory.mktemp("small")
+    rng = np.random.default_rng(13)
+    good = root / "good.lspg"
+    write_feature_cache(
+        good,
+        [LogSpectrogram(rng.normal(size=(4, 6)).astype(np.float32), f"spk{i}", i, i % 2) for i in range(3)],
+    )
+    net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
+    (root / "models").mkdir()
+    save_model(root / "models" / "model_000.sdm", net, init_params(net, 0))
+    blob = good.read_bytes()
+    records, pos = [], 4 + 14
+    for _ in range(3):
+        (sid_len,) = struct.unpack_from("<H", blob, pos)
+        records.append((pos + 2, pos + 2 + sid_len + 4))  # first speaker id byte, label byte
+        pos += 2 + sid_len + 5 + 4 * 24
+    return SimpleNamespace(root=root, good=good, blob=blob, records=records)
+
+
+_SMALL_RUN = ["--set", "ensemble.machines=1", "--set", "train.epochs=1"]
+
+
+def _stages(cache, root):
+    return [
+        ["train", "--cache", cache, "--out", root / "m", *_SMALL_RUN],
+        ["evaluate", "--models", root / "models", "--cache", cache, "--out", root / "e", *_SMALL_RUN],
+    ]
+
+
+def test_small_cache_runs(small_cache):
+    for argv in _stages(small_cache.good, small_cache.root):
+        assert _run(*argv) == 0
+
+
+def _mangled(blob, records, kind, where, value):
+    """A copy of a valid cache that no longer parses, by one of five kinds of damage."""
+    out = bytearray(blob)
+    if kind == "cut":  # at any byte
+        return bytes(out[: where % len(out)])
+    if kind == "header":  # a magic, version or record-count byte
+        out[[0, 1, 2, 3, 4, 5, 14, 15, 16, 17][where % 10]] ^= 1 + value % 255
+    elif kind == "label":  # a label byte outside 0/1
+        out[records[where % 3][1]] = 2 + value % 254
+    elif kind == "speaker":  # a speaker id that is not UTF-8
+        out[records[where % 3][0]] = 0x80 + value % 128
+    else:  # trailing bytes
+        out += bytes([value % 256]) * (1 + where % 16)
+    return bytes(out)
+
+
+@settings(max_examples=50, deadline=None, database=None)  # writes nothing outside pytest's temp dirs
+@given(
+    kind=st.sampled_from(["cut", "header", "label", "speaker", "tail"]),
+    where=st.integers(0, 10**6),
+    value=st.integers(0, 255),
+)
+def test_damaged_cache_is_one_data_error_line(small_cache, kind, where, value):
+    bad = small_cache.root / "bad.lspg"
+    bad.write_bytes(_mangled(small_cache.blob, small_cache.records, kind, where, value))
+    for argv in _stages(bad, small_cache.root):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _run(*argv)  # an exception escaping main would fail the test: no traceback
+        lines = err.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error:data: "), (kind, argv[0], lines)

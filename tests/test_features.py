@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from speechdep.audio_io import AudioClip
 from speechdep.features import (
+    FeatureSet,
     LogSpectrogram,
     StftConfig,
     featurize,
@@ -176,6 +178,97 @@ def test_feature_cache_rejects_corruption(tmp_path):
     (tmp_path / "trail.lspg").write_bytes(bytes(blob) + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         read_feature_cache(tmp_path / "trail.lspg")
+
+
+def _odd_records():
+    """Raw float32 records that stress minmax_normalize's arithmetic."""
+    rng = np.random.default_rng(8)
+    f32 = np.finfo(np.float32)
+    records = [
+        np.full((3, 5), 2.5),  # constant: maps to zeros
+        np.full((3, 5), -7.25),
+        rng.normal(-40.0, 15.0, size=(3, 5)),  # all negative
+        rng.normal(size=(3, 5)) * 1e-3 - 1.0,
+        np.array([[f32.max, -f32.max, 0.0, 1.0, -1.0]] * 3),  # hi - lo overflows float32, not float64
+        np.array([[f32.tiny, -f32.tiny, f32.smallest_subnormal, 0.0, f32.eps]] * 3),
+        np.array([[f32.max] * 5] * 3),
+        np.full((3, 5), np.inf),  # constant even though inf - inf is NaN
+    ]
+    return [r.astype(np.float32) for r in records]
+
+
+def test_batch_normalization_is_bitwise_minmax_normalize(tmp_path):
+    records = _odd_records()
+    path = tmp_path / "odd.lspg"
+    write_feature_cache(path, [LogSpectrogram(r, "s", i, i % 2) for i, r in enumerate(records)])
+    expected = np.stack([minmax_normalize(r) for r in records])
+    assert not expected[0].any()
+    stacked = FeatureSet.of([LogSpectrogram(r, "s", 0, 0) for r in records])
+    for features in (read_feature_cache(path), stacked):
+        assert np.array_equal(features.batch(range(len(records))), expected)
+        rows = [4, 0, 2]
+        buffer = np.full(3 * 15 * 2, np.nan)  # room for 2 records more than needed
+        xs = features.batch(rows, buffer)
+        assert np.array_equal(xs, expected[rows]) and np.shares_memory(xs, buffer)
+        # the (freq, batch*time) operand forward_batch derives is the buffer's prefix itself
+        operand = xs.transpose(1, 0, 2).reshape(3, len(rows) * 5)
+        assert np.shares_memory(operand, buffer[: operand.size])
+        assert np.isnan(buffer[operand.size :]).all()
+        for f, want in zip(features, expected):
+            assert f.normalized and np.array_equal(f.values, want)
+
+
+def test_normalized_records_pass_through_unchanged():
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=(2, 3)) * 5.0, np.full((2, 3), -0.0), np.full((2, 3), 3.0)]
+    features = FeatureSet.of([LogSpectrogram(v, "s", i, 0, normalized=True) for i, v in enumerate(values)])
+    assert np.array_equal(features.batch([0, 1, 2]), np.stack(values))
+    assert np.signbit(features.batch([1])).all()  # an identity map keeps even the sign of zero
+    raw, done = LogSpectrogram(values[0], "s", 0, 0), LogSpectrogram(values[0], "s", 1, 0, normalized=True)
+    mixed = FeatureSet.of([raw, done])
+    assert np.array_equal(mixed.batch([0, 1]), [minmax_normalize(values[0]), values[0]])
+
+
+def test_feature_set_keeps_the_record_contract(tmp_path):
+    path = tmp_path / "f.lspg"
+    values = np.arange(12, dtype=np.float32).reshape(3, 4)
+    raw = [LogSpectrogram(values * k, f"spk{k}", 10 + k, k % 2) for k in (1, 2, 3)]
+    write_feature_cache(path, raw)
+    for normalize in (True, False):
+        features = read_feature_cache(path, normalize=normalize)
+        assert len(features) == 3 and features.record_shape == (3, 4)
+        keys = [(f.speaker_id, f.crop_index, f.label) for f in features]
+        assert keys == [("spk1", 11, 1), ("spk2", 12, 0), ("spk3", 13, 1)]
+        last = features[-1]
+        assert last.shape == (3, 4) and last.normalized == normalize
+        want = minmax_normalize(raw[2].values) if normalize else raw[2].values
+        assert last.values.dtype == want.dtype and np.array_equal(last.values, want)
+        with pytest.raises(IndexError):
+            features[3]
+    subset = read_feature_cache(path).take([2, 0])
+    assert subset.speaker_ids == ["spk3", "spk1"]
+    assert np.array_equal(subset[1].values, minmax_normalize(raw[0].values))
+    with pytest.raises(ValueError, match=r"feature shape \(3, 4\) does not fit model \(4, 3\)"):
+        FeatureSet.of(subset, (4, 3))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_cache_read_allocates_about_one_float32_copy(tmp_path, normalize):
+    path = tmp_path / "big.lspg"
+    rng = np.random.default_rng(10)
+    n, shape = 120, (32, 64)
+    write_feature_cache(
+        path, [LogSpectrogram(rng.normal(size=shape).astype(np.float32), f"s{i}", i, i % 2) for i in range(n)]
+    )
+    tracemalloc.start()
+    try:
+        features = read_feature_cache(path, normalize=normalize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_values = n * shape[0] * shape[1]
+    assert len(features) == n
+    assert 4.0 <= peak / n_values < 4.5, peak / n_values
 
 
 def test_stft_config_derived_sizes():

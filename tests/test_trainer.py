@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from speechdep.features import LogSpectrogram
-from speechdep.network import NetworkConfig, NetworkParams, forward, init_params
+from speechdep import trainer
+from speechdep.features import LogSpectrogram, normalize_feature, read_feature_cache, write_feature_cache
+from speechdep.network import NetworkConfig, NetworkParams, forward, forward_batch, init_params
 from speechdep.trainer import (
     AdadeltaState,
     TrainConfig,
@@ -183,6 +185,84 @@ def test_train_aborts_on_non_finite_loss():
         train(feats, _toy_net(), TrainConfig(epochs=1, batch_size=8, seed=0))
 
 
+def _raw_features(n, shape=(4, 6), seed=0):
+    """Pre-normalization float32 records, one of them constant."""
+    feats = []
+    for f in _toy_features(n // 2, shape=shape, seed=seed):
+        values = (f.values * 30.0 - 80.0).astype(np.float32)
+        feats.append(LogSpectrogram(values, f.speaker_id, f.crop_index, f.label))
+    feats[1].values[:] = np.float32(-12.5)
+    return feats
+
+
+def _assert_same_params(a, b):
+    for name in PARAM_FIELDS[:-1]:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.b_out == b.b_out
+
+
+def test_raw_and_pre_normalized_features_train_the_same_params(tmp_path):
+    raw = _raw_features(10)
+    path = tmp_path / "raw.lspg"
+    write_feature_cache(path, raw)
+    cfg = TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=6)
+    expected, hist = train([normalize_feature(f) for f in raw], _toy_net(), cfg)
+    for features in (raw, read_feature_cache(path), read_feature_cache(path, normalize=False)):
+        params, again = train(features, _toy_net(), cfg)
+        _assert_same_params(params, expected)
+        assert again.train_loss == hist.train_loss
+
+
+def test_non_finite_raw_record_still_aborts(tmp_path):
+    raw = _raw_features(8)
+    raw[3].values[1, 2] = np.nan
+    path = tmp_path / "nan.lspg"
+    write_feature_cache(path, raw)
+    for features in (raw, read_feature_cache(path)):
+        with pytest.raises(TrainingDivergedError, match="epoch 0"):
+            train(features, _toy_net(), TrainConfig(epochs=1, batch_size=8, seed=0))
+
+
+def test_every_step_builds_its_operand_in_one_buffer(monkeypatch):
+    operands = []
+
+    def spy(params, xs, cfg):
+        cache = forward_batch(params, xs, cfg)
+        operands.append(cache.operand)
+        return cache
+
+    monkeypatch.setattr(trainer, "forward_batch", spy)
+    # 10 records in batches of 4: two full steps and a partial one of 2, per epoch
+    train(_raw_features(10), _toy_net(), TrainConfig(epochs=2, batch_size=4, seed=1))
+    assert [op.shape[1] for op in operands] == [24, 24, 12] * 2
+    first = operands[0]
+    assert all(np.shares_memory(first, op) for op in operands)
+    assert all(op.flags.c_contiguous for op in operands)  # a prefix, not a strided slice
+
+
+def test_train_memory_is_the_block_plus_a_batch(tmp_path):
+    shape, n, batch = (16, 40), 240, 6
+    net = NetworkConfig(freq_bins=16, time_steps=40, filters=2, pool_kernel=4, pool_stride=4, hidden=3)
+    rng = np.random.default_rng(12)
+    path = tmp_path / "many.lspg"
+    write_feature_cache(
+        path, [LogSpectrogram(rng.normal(size=shape).astype(np.float32), f"s{i}", i, i % 2) for i in range(n)]
+    )
+    features = read_feature_cache(path)
+    cfg = TrainConfig(epochs=1, batch_size=batch, seed=0)
+    train(features, net, cfg)  # warm up: first-call allocations are not the data path's
+    tracemalloc.start()
+    try:
+        train(features, net, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_values = n * shape[0] * shape[1]
+    assert features.block.nbytes == 4 * n_values
+    # an N-sized float64 copy would be 8 B per value; one float64 batch is 8 * batch / n of that
+    assert peak < 0.5 * features.block.nbytes, peak / n_values
+
+
 def test_train_ensemble_shares_order_and_varies_init():
     feats = _toy_features(6)
     cfg = TrainConfig(epochs=4, batch_size=6, lr_start=0.5, lr_end=0.1, seed=2)
@@ -204,9 +284,7 @@ def test_evaluate_loss_hand_case():
         LogSpectrogram(np.ones((2, 2)), "a", 0, 1, normalized=True),
         LogSpectrogram(np.ones((2, 2)), "b", 0, 0, normalized=True),
     ]
-    xs = np.stack([f.values for f in feats])
-    ys = np.array([1.0, 0.0])
-    loss, acc = evaluate_loss(params, net, xs, ys)
+    loss, acc = evaluate_loss(params, net, feats)
     assert loss == pytest.approx(math.log(2.0))
     assert acc == 0.5  # p = 0.5 maps to label 1, so only the positive is right
 
