@@ -170,6 +170,10 @@ def trim_silence(clip: AudioClip, frame_s: float = 0.1, energy_floor_db: float =
     if frame_s <= 0:
         raise ValueError(f"frame_s must be positive, got {frame_s}")
     frame_len = int(round(frame_s * clip.sample_rate))
+    if frame_len < 1:
+        raise ValueError(
+            f"at {clip.sample_rate} Hz the {frame_s} s trim frame is {frame_len} samples; it must be at least 1"
+        )
     if clip.samples.size < frame_len:
         return clip
     kept = []

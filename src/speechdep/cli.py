@@ -382,10 +382,18 @@ def _fit_machine(features: FeatureSet, cfg: RunConfig, out_dir: Path, machine: i
     return machine, model_name, history.train_loss[-1]
 
 
+# A --jobs worker's feature sets, each read on the first task that needs it.
+# Not a pool initializer: an error raised there breaks the pool and loses its
+# message, and a forked pool starts every worker, busy or not.
+_worker_features: dict[str, FeatureSet] = {}
+
+
 def _train_machine(task) -> tuple[int, str, float]:
-    """Worker: read the cache, then train machine m."""
+    """Worker: train machine m on the cache, read once per worker."""
     cache_path, out_dir, cfg_values, machine = task
-    return _fit_machine(_read_cache(cache_path), RunConfig(cfg_values), Path(out_dir), machine)
+    if cache_path not in _worker_features:
+        _worker_features[cache_path] = _read_cache(cache_path)
+    return _fit_machine(_worker_features[cache_path], RunConfig(cfg_values), Path(out_dir), machine)
 
 
 def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dict:
@@ -408,7 +416,8 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
 
 # ------------------------------------------------------------- evaluate
 
-def _load_pool(models_dir: Path, cache_path: Path):
+def _pool_predictions(cfg: RunConfig, models_dir: Path, cache_path: Path):
+    """Each model's thresholded prediction set on the cache, and every speaker's true label."""
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
     model_paths = sorted(models_dir.glob("model_*.sdm")) if models_dir.is_dir() else []
@@ -423,15 +432,14 @@ def _load_pool(models_dir: Path, cache_path: Path):
     for path, (other_cfg, _) in zip(model_paths, loaded):
         if other_cfg != net_cfg:
             raise CliError("data", f"model {path} disagrees with the rest of the pool")
-    return features, net_cfg, [params for _, params in loaded], model_paths
+    truth = speaker_labels(features)
+    sets = prediction_set_for([params for _, params in loaded], net_cfg, features, cfg["ensemble.threshold"])
+    return sets, truth
 
 
 def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     del jobs  # a handful of batched forward passes; parallelism buys nothing
-    features, net_cfg, pool, _ = _load_pool(models_dir, cache_path)
-    truth = speaker_labels(features)
-    threshold = cfg["ensemble.threshold"]
-    sets = prediction_set_for(pool, net_cfg, features, threshold)
+    sets, truth = _pool_predictions(cfg, models_dir, cache_path)
     ens_cfg = cfg.ensemble_config(machines=len(sets))
     fused = fuse(sets, ens_cfg)
     report = metrics(confusion(truth, fused))
@@ -471,10 +479,8 @@ def _parse_m_values(raw: str, pool_size: int) -> list[int]:
 
 
 def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
-    features, net_cfg, pool, _ = _load_pool(models_dir, cache_path)
-    truth = speaker_labels(features)
+    sets, truth = _pool_predictions(cfg, models_dir, cache_path)
     threshold = cfg["ensemble.threshold"]
-    sets = prediction_set_for(pool, net_cfg, features, threshold)
     m_values = _parse_m_values(cfg["curve.m_values"], len(sets))
     n_combinations = cfg["curve.n_combinations"]
     seed = cfg["seed"]
@@ -664,7 +670,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error:train: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return 2
     except WavError as exc:

@@ -88,6 +88,10 @@ def stft(samples: np.ndarray, sample_rate: int, cfg: StftConfig | None = None) -
     samples = np.asarray(samples, dtype=np.float64)
     win = cfg.window_samples(sample_rate)
     hop = cfg.hop_samples(sample_rate)
+    if win < 1 or hop < 1:
+        raise ValueError(
+            f"at {sample_rate} Hz the STFT window is {win} samples and the hop {hop}; both must be at least 1"
+        )
     if win > cfg.n_fft:
         raise ValueError(f"window of {win} samples exceeds n_fft={cfg.n_fft}")
     if samples.size < hop:

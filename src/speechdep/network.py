@@ -3,8 +3,12 @@ hidden dense layer and a sigmoid output, with hand-derived gradients.
 
 Each convolution filter spans the whole frequency axis and a single time
 slot, so the convolution output is one value per (filter, time step). Pooling
-slides a kernel along time with right zero-padding, which is safe because the
-pooled input is post-ReLU non-negative. All math is float64.
+takes the max over the windows [j*stride, j*stride + kernel) along time, one
+per j < ceil(time_steps / stride); a window that runs past the end covers only
+the steps that exist, which equals zero padding because the pooled input is
+post-ReLU non-negative. There is one pass: forward_batch and backward_batch
+over a (batch, freq_bins, time_steps) stack, scored by batch_loss, serve
+training, prediction and the gradient check alike. All math is float64.
 
 Model file layout (little-endian): magic ``SDM1``, version u16, seven u32
 config fields (freq_bins, time_steps, filters, pool_kernel, pool_stride,
@@ -26,6 +30,8 @@ MODEL_MAGIC = b"SDM1"
 MODEL_VERSION = 1
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
+
+_HEADER = struct.Struct("<HIIIIIII")  # version, then the seven config fields
 
 
 @dataclass
@@ -86,17 +92,6 @@ class NetworkParams:
         )
 
 
-@dataclass
-class ForwardCache:
-    conv_pre: np.ndarray  # (filters, time_steps)
-    conv_act: np.ndarray
-    pool_values: np.ndarray  # (filters, pooled_steps)
-    pool_argmax: np.ndarray  # (filters, pooled_steps), -1 where a padded zero won
-    hidden_pre: np.ndarray  # (hidden,)
-    hidden_act: np.ndarray
-    prob: float
-
-
 def zeros_like_params(params: NetworkParams) -> NetworkParams:
     return NetworkParams(
         np.zeros_like(params.w_conv),
@@ -136,122 +131,22 @@ def _sigmoid(z):
     return out
 
 
-def conv_freq(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """ReLU of the frequency-spanning convolution: (filters, time_steps)."""
-    return np.maximum(_conv_pre(params, x), 0.0)
-
-
-def _conv_pre(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != params.w_conv.shape[1]:
-        raise ValueError(f"input shape {x.shape} incompatible with {params.w_conv.shape[1]} frequency rows")
-    return params.w_conv @ x + params.b_conv[:, None]
-
-
-def maxpool_time(act: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max over windows [j*stride, j*stride + kernel) along time, right-padded with zeros.
-
-    Returns (values, argmax) of shape (filters, ceil(T/stride)). Ties go to the
-    smallest index; argmax is -1 when the padded zero beats every in-range
-    value (cannot happen for post-ReLU input).
-    """
-    if kernel < 1 or stride < 1:
-        raise ValueError("kernel and stride must be >= 1")
-    act = np.asarray(act, dtype=np.float64)
-    n, t = act.shape
-    t_out = -(-t // stride)
-    values = np.empty((n, t_out))
-    argmax = np.empty((n, t_out), dtype=np.int64)
-    for j in range(t_out):
-        lo = j * stride
-        window = act[:, lo : lo + kernel]
-        vals = window.max(axis=1)
-        idx = lo + window.argmax(axis=1)
-        if lo + kernel > t:  # padded zeros participate in this window
-            padded_wins = vals < 0.0
-            vals = np.where(padded_wins, 0.0, vals)
-            idx = np.where(padded_wins, -1, idx)
-        values[:, j] = vals
-        argmax[:, j] = idx
-    return values, argmax
-
-
-def forward(params: NetworkParams, x: np.ndarray, cfg: NetworkConfig) -> tuple[float, ForwardCache]:
-    """Probability of class 1 for one input, plus everything backward needs."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.freq_bins, cfg.time_steps):
-        raise ValueError(f"expected input {(cfg.freq_bins, cfg.time_steps)}, got {x.shape}")
-    conv_pre = _conv_pre(params, x)
-    conv_act = np.maximum(conv_pre, 0.0)
-    pool_values, pool_argmax = maxpool_time(conv_act, cfg.pool_kernel, cfg.pool_stride)
-    flat = pool_values.reshape(-1)  # filter-major
-    hidden_pre = params.w_hidden @ flat + params.b_hidden
-    hidden_act = np.maximum(hidden_pre, 0.0)
-    logit = float(params.w_out @ hidden_act + params.b_out)
-    prob = float(_sigmoid(logit))
-    return prob, ForwardCache(conv_pre, conv_act, pool_values, pool_argmax, hidden_pre, hidden_act, prob)
-
-
-def loss_bce(p: float, y: int) -> float:
-    """Binary cross-entropy with the probability clamped to [1e-12, 1-1e-12]."""
-    p = min(max(float(p), 1e-12), 1.0 - 1e-12)
-    return -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
-
-
-def backward(params: NetworkParams, cache: ForwardCache, x: np.ndarray, y: int) -> NetworkParams:
-    """Exact gradients of loss_bce(forward(x), y) w.r.t. every parameter."""
-    x = np.asarray(x, dtype=np.float64)
-    n_filters, t_steps = cache.conv_pre.shape
-    if x.shape != (params.w_conv.shape[1], t_steps):
-        raise ValueError(f"input shape {x.shape} does not match cache")
-
-    d_logit = cache.prob - y  # sigmoid + BCE
-    g_w_out = d_logit * cache.hidden_act
-    g_b_out = d_logit
-
-    d_hidden = d_logit * params.w_out
-    d_hidden_pre = d_hidden * (cache.hidden_pre > 0.0)
-    flat = cache.pool_values.reshape(-1)
-    g_w_hidden = np.outer(d_hidden_pre, flat)
-    g_b_hidden = d_hidden_pre
-
-    d_flat = params.w_hidden.T @ d_hidden_pre
-    d_pool = d_flat.reshape(cache.pool_values.shape)
-    d_act = np.zeros_like(cache.conv_act)
-    rows, cols = np.nonzero(cache.pool_argmax >= 0)
-    np.add.at(d_act, (rows, cache.pool_argmax[rows, cols]), d_pool[rows, cols])
-
-    d_conv_pre = d_act * (cache.conv_pre > 0.0)
-    g_w_conv = d_conv_pre @ x.T
-    g_b_conv = d_conv_pre.sum(axis=1)
-
-    return NetworkParams(g_w_conv, g_b_conv, g_w_hidden, g_b_hidden, g_w_out, float(g_b_out))
-
-
 def numerical_gradient(
     params: NetworkParams, x: np.ndarray, y: int, cfg: NetworkConfig, h: float = 1e-5
 ) -> NetworkParams:
-    """Central finite differences of the loss over every single parameter."""
+    """Central finite differences of batch_loss on the batch of one (x, y), over every parameter."""
+    xs, ys = np.asarray(x, dtype=np.float64)[None], [y]
 
     def loss_at(p: NetworkParams) -> float:
-        prob, _ = forward(p, x, cfg)
-        return loss_bce(prob, y)
+        return batch_loss(forward_batch(p, xs, cfg).probs, ys)
 
     work = params.copy()
+    work.b_out = np.array([work.b_out])  # perturbed in place like the other blocks
     grads = zeros_like_params(params)
+    grads.b_out = np.zeros(1)
     for name in PARAM_FIELDS:
-        value = getattr(work, name)
-        if name == "b_out":
-            setattr(work, name, value + h)
-            up = loss_at(work)
-            setattr(work, name, value - h)
-            down = loss_at(work)
-            setattr(work, name, value)
-            grads.b_out = (up - down) / (2.0 * h)
-            continue
-        grad = getattr(grads, name)
-        flat = value.reshape(-1)
-        gflat = grad.reshape(-1)
+        flat = getattr(work, name).reshape(-1)
+        gflat = getattr(grads, name).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -260,12 +155,10 @@ def numerical_gradient(
             down = loss_at(work)
             flat[i] = orig
             gflat[i] = (up - down) / (2.0 * h)
+    grads.b_out = float(grads.b_out[0])
     return grads
 
 
-# Batched variants used by the trainer: same math as forward/backward applied
-# over a (batch, freq_bins, time_steps) stack with a fixed reduction order.
-#
 # Layout invariant: the conv GEMM yields (filters, batch*time_steps), so every
 # per-time-step array (conv_pre, the pool scatter target, d_conv_pre) lives in
 # (filters, batch, time) memory order and is exposed as a (batch, filters, time)
@@ -369,6 +262,7 @@ def backward_batch(
 
 
 def batch_loss(probs: np.ndarray, ys: np.ndarray) -> float:
+    """Mean binary cross-entropy, each probability clamped to [1e-12, 1-1e-12]."""
     p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     ys = np.asarray(ys, dtype=np.float64)
     return float(np.mean(-(ys * np.log(p) + (1.0 - ys) * np.log(1.0 - p))))
@@ -377,8 +271,7 @@ def batch_loss(probs: np.ndarray, ys: np.ndarray) -> float:
 def save_model(path, cfg: NetworkConfig, params: NetworkParams) -> None:
     blob = bytearray()
     blob += MODEL_MAGIC
-    blob += struct.pack(
-        "<HIIIIIII",
+    blob += _HEADER.pack(
         MODEL_VERSION,
         cfg.freq_bins,
         cfg.time_steps,
@@ -400,39 +293,29 @@ def load_model(path) -> tuple[NetworkConfig, NetworkParams]:
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file")
+    pos = len(MODEL_MAGIC) + _HEADER.size
+    if len(raw) < pos + 4:
+        raise ValueError(f"{path}: {len(raw)} bytes cannot hold the {pos}-byte header and its CRC")
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(raw[:-4]) != stored_crc:
         raise ValueError(f"{path}: CRC mismatch, file corrupt")
-    version, fb, ts, nf, pk, ps, pp, nh = struct.unpack_from("<HIIIIIII", raw, 4)
+    version, fb, ts, nf, pk, ps, pp, nh = _HEADER.unpack_from(raw, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    cfg = NetworkConfig(fb, ts, nf, pk, ps, pp, nh)
-    pos = 4 + struct.calcsize("<HIIIIIII")
-    shapes = {
-        "w_conv": (nf, fb),
-        "b_conv": (nf,),
-        "w_hidden": (nh, cfg.flat_size),
-        "b_hidden": (nh,),
-        "w_out": (nh,),
-        "b_out": (1,),
-    }
-    values = {}
-    for name in PARAM_FIELDS:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        values[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        pos += 8 * count
-    if pos != len(raw) - 4:
-        raise ValueError(f"{path}: unexpected payload size")
-    params = NetworkParams(
-        values["w_conv"],
-        values["b_conv"],
-        values["w_hidden"],
-        values["b_hidden"],
-        values["w_out"],
-        float(values["b_out"][0]),
-    )
-    return cfg, params
+    try:
+        cfg = NetworkConfig(fb, ts, nf, pk, ps, pp, nh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    expected = pos + 8 * cfg.n_params + 4
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, but its header describes a {expected}-byte model")
+    flat = np.frombuffer(raw, dtype="<f8", count=cfg.n_params, offset=pos)
+    blocks = []
+    for shape in ((nf, fb), (nf,), (nh, cfg.flat_size), (nh,), (nh,)):  # PARAM_FIELDS order, b_out last
+        count = math.prod(shape)
+        blocks.append(flat[:count].reshape(shape).copy())
+        flat = flat[count:]
+    return cfg, NetworkParams(*blocks, float(flat[0]))
 
 
 def map_params(fn, *param_sets: NetworkParams) -> NetworkParams:

@@ -32,8 +32,8 @@ from speechdep.evaluation import (
 from speechdep.features import StftConfig, featurize, hamming_window, read_feature_cache, stft
 from speechdep.network import (
     NetworkConfig,
-    backward,
-    forward,
+    backward_batch,
+    forward_batch,
     init_params,
     load_model,
     map_params,
@@ -86,9 +86,9 @@ def _random_net(seed):
 
 def _kink_margin(params, x, cfg):
     """Distance of the forward pass from any ReLU kink or pooling argmax flip."""
-    _, cache = forward(params, x, cfg)
-    margins = [np.min(np.abs(cache.conv_pre)), np.min(np.abs(cache.hidden_pre))]
-    act = cache.conv_act
+    cache = forward_batch(params, x[None], cfg)
+    margins = [np.min(np.abs(cache.conv_pre[0])), np.min(np.abs(cache.hidden_pre[0]))]
+    act = np.maximum(cache.conv_pre[0], 0.0)
     for j in range(cfg.pooled_steps):
         lo = j * cfg.pool_stride
         window = np.asarray(list(act[:, lo : lo + cfg.pool_kernel].T))
@@ -112,8 +112,7 @@ def test_criterion_02_gradient_check(capsys):
             instances.append((cfg, params, x, y))
     worst = 0.0
     for cfg, params, x, y in instances:
-        _, cache = forward(params, x, cfg)
-        analytic = backward(params, cache, x, y)
+        analytic = backward_batch(params, forward_batch(params, x[None], cfg), x[None], [y], cfg)
         numeric = numerical_gradient(params, x, y, cfg, h=h)
         for name in PARAM_FIELDS:
             a = np.atleast_1d(np.asarray(getattr(analytic, name), dtype=float))

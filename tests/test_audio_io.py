@@ -137,6 +137,8 @@ def test_trim_silence_all_quiet_and_short_clips():
     assert trim_silence(AudioClip(np.zeros(rate), rate)).samples.size == 0
     short = AudioClip(np.zeros(10), rate)
     assert trim_silence(short).samples.size == 10
+    with pytest.raises(ValueError, match="at 3 Hz .* 0 samples"):  # 0.1 s rounds to 0 samples
+        trim_silence(AudioClip(np.ones(10), 3))
 
 
 def test_synth_corpus_geometry_and_determinism():

@@ -2,9 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechdep import cli
 from speechdep.audio_io import AudioClip, load_wav, write_wav
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
 from speechdep.ensemble import fuse_method1, read_predictions_csv
@@ -436,3 +440,58 @@ def test_damaged_cache_is_one_data_error_line(small_cache, kind, where, value):
             code = _run(*argv)  # an exception escaping main would fail the test: no traceback
         lines = err.getvalue().splitlines()
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error:data: "), (kind, argv[0], lines)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"SDM1\x01\x00", b"SDM1" + struct.pack("<HIIIIIII", 1, 4, 6, 2, 2, 2, 2, 3)],
+    ids=["header cut short", "header without payload"],
+)
+def test_short_model_file_is_one_data_error_line(small_cache, tmp_path, capsys, body):
+    models = tmp_path / "models"
+    models.mkdir()
+    model = models / "model_000.sdm"
+    model.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC
+    code = _run("evaluate", "--models", models, "--cache", small_cache.good, "--out", tmp_path / "e", *_SMALL_RUN)
+    assert f"{model}: " in _assert_one_error_line(code, capsys, "data")
+
+
+@pytest.mark.parametrize("rate", [8, 1])  # an 8 Hz STFT hop and a 1 Hz trim frame round to 0 samples
+def test_sample_rate_too_low_is_one_data_error_line(pipe, tmp_path, capsys, rate):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipe.corpus, corpus)
+    for wav in (corpus / "wav").glob("*.wav"):
+        clip = load_wav(wav)
+        write_wav(wav, AudioClip(clip.samples[:: 16000 // rate], rate, clip.speaker_id))
+    code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
+    assert f"at {rate} Hz" in _assert_one_error_line(code, capsys, "data")
+
+
+def test_directory_as_wav_path_is_one_io_error_line(pipe, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipe.corpus, corpus)
+    _, first, *_ = (corpus / "manifest.csv").read_text().splitlines()
+    wav = corpus / first.split(",")[1]
+    wav.unlink()
+    wav.mkdir()
+    code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
+    assert str(wav) in _assert_one_error_line(code, capsys, "io")
+
+
+def test_train_jobs_2_reads_the_cache_once_per_worker(small_cache, tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the counting wrapper reaches the workers only through fork")
+    log = tmp_path / "reads.log"
+    read = cli.read_feature_cache
+
+    def counted(path, *args, **kwargs):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_feature_cache", counted)
+    argv = ["--set", "ensemble.machines=4", "--set", "train.epochs=1", "--jobs", 2]
+    assert _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv) == 0
+    reads = log.read_text().split()
+    assert 1 <= len(reads) <= 2 and len(set(reads)) == len(reads), reads
+    assert len(list((tmp_path / "m").glob("model_*.sdm"))) == 4

@@ -15,7 +15,7 @@ from speechdep.evaluation import (
     write_metrics_csv,
 )
 from speechdep.features import LogSpectrogram
-from speechdep.network import NetworkConfig, forward, forward_batch, init_params
+from speechdep.network import NetworkConfig, forward_batch, init_params
 from speechdep.trainer import TrainConfig
 
 
@@ -157,7 +157,7 @@ def test_predict_speaker_probs_matches_single_forward():
     params = init_params(net, 3)
     feats = _toy_features({"a": 0, "b": 1}, crops_per_speaker=3)
     [probs] = predict_speaker_probs([params], net, feats, batch_size=2)
-    singles = [forward(params, f.values, net)[0] for f in feats]
+    singles = [forward_batch(params, f.values[None], net).probs[0] for f in feats]
     np.testing.assert_allclose(probs, singles, rtol=1e-10)
 
 

@@ -106,6 +106,8 @@ def test_stft_input_validation():
     bad = StftConfig(window_s=0.1, hop_s=0.05, n_fft=1024)  # window 1600 > n_fft
     with pytest.raises(ValueError):
         stft(np.zeros(16000), 16000, bad)
+    with pytest.raises(ValueError, match="at 8 Hz .* hop 0"):  # 0.032 s rounds to 0 samples
+        stft(np.zeros(100), 8)
 
 
 def test_log_magnitude_known_values():

@@ -4,19 +4,16 @@ import pytest
 from speechdep.network import (
     NetworkConfig,
     NetworkParams,
-    backward,
     backward_batch,
-    forward,
+    batch_loss,
     forward_batch,
     init_params,
     load_model,
-    loss_bce,
-    maxpool_time,
     numerical_gradient,
     save_model,
     zeros_like_params,
 )
-from speechdep.network import _sigmoid  # the oracle scores logits with the network's own sigmoid
+from speechdep.network import _pool_batch, _sigmoid  # the oracle scores logits with the network's own sigmoid
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
@@ -43,9 +40,9 @@ def _random_instance(seed):
 
 def _kink_margin(params, x, cfg):
     """Distance of the forward pass from any ReLU kink or pooling argmax flip."""
-    _, cache = forward(params, x, cfg)
-    margins = [np.min(np.abs(cache.conv_pre)), np.min(np.abs(cache.hidden_pre))]
-    act = cache.conv_act
+    cache = forward_batch(params, x[None], cfg)
+    margins = [np.min(np.abs(cache.conv_pre[0])), np.min(np.abs(cache.hidden_pre[0]))]
+    act = np.maximum(cache.conv_pre[0], 0.0)
     for j in range(cfg.pooled_steps):
         lo = j * cfg.pool_stride
         window = list(act[:, lo : lo + cfg.pool_kernel].T)
@@ -84,8 +81,7 @@ def collect_gradient_instances(n_instances=20, h=1e-5):
 def test_gradients_match_finite_differences():
     worst = 0.0
     for cfg, params, x, y in collect_gradient_instances(20):
-        _, cache = forward(params, x, cfg)
-        analytic = backward(params, cache, x, y)
+        analytic = backward_batch(params, forward_batch(params, x[None], cfg), x[None], [y], cfg)
         numeric = numerical_gradient(params, x, y, cfg, h=1e-5)
         worst = max(worst, _max_rel_err(analytic, numeric))
     assert worst < 1e-4, worst
@@ -99,30 +95,29 @@ def test_parameter_count_for_reference_architecture():
     assert cfg.n_params == manual == 590337
 
 
+def _pool_cfg(act, kernel, stride):
+    return NetworkConfig(
+        freq_bins=1, time_steps=act.shape[-1], filters=act.shape[0], pool_kernel=kernel, pool_stride=stride
+    )
+
+
 def test_maxpool_hand_case():
     row = np.array([[1.0, 3.0, 2.0, 0.0, 5.0, 4.0]])
-    values, argmax = maxpool_time(row, kernel=3, stride=2)
+    values, argmax = _pool_batch(row, _pool_cfg(row, kernel=3, stride=2))
     np.testing.assert_array_equal(values, [[3.0, 5.0, 5.0]])
     np.testing.assert_array_equal(argmax, [[1, 4, 4]])
 
 
 def test_maxpool_tie_takes_smallest_index():
     row = np.array([[5.0, 5.0, 1.0]])
-    _, argmax = maxpool_time(row, kernel=3, stride=3)
+    _, argmax = _pool_batch(row, _pool_cfg(row, kernel=3, stride=3))
     assert argmax[0, 0] == 0
-
-
-def test_maxpool_padded_zero_can_win_on_raw_input():
-    row = np.array([[-1.0, -2.0, -3.0]])
-    values, argmax = maxpool_time(row, kernel=4, stride=4)
-    assert values[0, 0] == 0.0
-    assert argmax[0, 0] == -1
 
 
 def test_maxpool_kernel_one_is_strided_copy():
     rng = np.random.default_rng(7)
     act = rng.uniform(size=(3, 9))
-    values, argmax = maxpool_time(act, kernel=1, stride=2)
+    values, argmax = _pool_batch(act, _pool_cfg(act, kernel=1, stride=2))
     np.testing.assert_array_equal(values, act[:, ::2])
     np.testing.assert_array_equal(argmax, np.tile(np.arange(0, 9, 2), (3, 1)))
 
@@ -131,9 +126,9 @@ def test_forward_validates_shape():
     cfg = NetworkConfig(freq_bins=4, time_steps=6, filters=2, hidden=3)
     params = init_params(cfg, 0)
     with pytest.raises(ValueError):
-        forward(params, np.zeros((4, 7)), cfg)
+        forward_batch(params, np.zeros((1, 4, 7)), cfg)
     with pytest.raises(ValueError):
-        forward(params, np.zeros((5, 6)), cfg)
+        forward_batch(params, np.zeros((1, 5, 6)), cfg)
 
 
 def test_forward_extreme_logits_stay_finite():
@@ -143,17 +138,18 @@ def test_forward_extreme_logits_stay_finite():
     params.w_hidden[:] = 100.0
     params.w_out[:] = 100.0
     with np.errstate(over="raise", invalid="raise"):  # harmless underflow-to-zero allowed
-        p_hi, _ = forward(params, np.ones((2, 2)), cfg)
+        [p_hi] = forward_batch(params, np.ones((1, 2, 2)), cfg).probs
         params.w_out[:] = -100.0
-        p_lo, _ = forward(params, np.ones((2, 2)), cfg)
+        [p_lo] = forward_batch(params, np.ones((1, 2, 2)), cfg).probs
     assert 0.0 <= p_lo < 1e-12 and 1.0 - 1e-12 < p_hi <= 1.0
-    assert np.isfinite(loss_bce(p_hi, 0)) and np.isfinite(loss_bce(p_lo, 1))
+    assert np.isfinite(batch_loss([p_hi], [0])) and np.isfinite(batch_loss([p_lo], [1]))
 
 
-def test_loss_bce_hand_values():
-    assert loss_bce(0.5, 1) == pytest.approx(np.log(2.0))
-    assert loss_bce(0.9, 1) == pytest.approx(-np.log(0.9))
-    assert loss_bce(0.9, 0) == pytest.approx(-np.log(0.1))
+def test_batch_loss_hand_values():
+    assert batch_loss([0.5], [1]) == pytest.approx(np.log(2.0))
+    assert batch_loss([0.9], [1]) == pytest.approx(-np.log(0.9))
+    assert batch_loss([0.9], [0]) == pytest.approx(-np.log(0.1))
+    assert batch_loss([0.9, 0.9], [1, 0]) == pytest.approx(-(np.log(0.9) + np.log(0.1)) / 2)
 
 
 def test_init_params_is_seeded_and_bounded():
@@ -176,7 +172,7 @@ def test_batched_forward_matches_per_sample():
     params.b_conv += rng.normal(scale=0.1, size=params.b_conv.shape)
     xs = rng.uniform(size=(5, 6, 9))
     batch = forward_batch(params, xs, cfg)
-    singles = [forward(params, x, cfg)[0] for x in xs]
+    singles = [forward_batch(params, x[None], cfg).probs[0] for x in xs]
     np.testing.assert_allclose(batch.probs, singles, rtol=1e-10, atol=1e-12)
 
 
@@ -192,8 +188,7 @@ def test_batched_backward_matches_mean_of_per_sample():
 
     acc = zeros_like_params(params)
     for x, y in zip(xs, ys):
-        _, single_cache = forward(params, x, cfg)
-        g = backward(params, single_cache, x, int(y))
+        g = backward_batch(params, forward_batch(params, x[None], cfg), x[None], [y], cfg)
         for name in PARAM_FIELDS[:-1]:
             getattr(acc, name)[:] += getattr(g, name) / len(xs)
         acc.b_out += g.b_out / len(xs)

@@ -6,7 +6,7 @@ import pytest
 
 from speechdep import trainer
 from speechdep.features import LogSpectrogram, normalize_feature, read_feature_cache, write_feature_cache
-from speechdep.network import NetworkConfig, NetworkParams, forward, forward_batch, init_params
+from speechdep.network import NetworkConfig, NetworkParams, forward_batch, init_params
 from speechdep.trainer import (
     AdadeltaState,
     TrainConfig,
@@ -156,7 +156,7 @@ def test_train_learns_separable_toy_task():
     net = _toy_net()
     params, _ = train(feats, net, cfg)
     correct = sum(
-        (forward(params, f.values, net)[0] >= 0.5) == bool(f.label) for f in feats
+        (forward_batch(params, f.values[None], net).probs[0] >= 0.5) == bool(f.label) for f in feats
     )
     assert correct == len(feats)
 
