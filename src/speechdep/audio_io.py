@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import csv
 import struct
+from collections import deque
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,6 +27,7 @@ _FUNDAMENTAL_HZ = {1: (80.0, 120.0), 0: (180.0, 260.0)}
 _MOD_RATE_HZ = {1: (0.5, 1.5), 0: (4.0, 8.0)}
 _NOISE_DB = -30.0
 _N_HARMONICS = 6
+_RENDER_BLOCK = 1 << 14  # samples per block of _render_clip's sample-wise formulas
 
 
 class WavError(ValueError):
@@ -174,44 +179,77 @@ def trim_silence(clip: AudioClip, frame_s: float = 0.1, energy_floor_db: float =
         raise ValueError(
             f"at {clip.sample_rate} Hz the {frame_s} s trim frame is {frame_len} samples; it must be at least 1"
         )
-    if clip.samples.size < frame_len:
+    n = clip.samples.size
+    if n < frame_len:
         return clip
-    kept = []
-    for start in range(0, clip.samples.size, frame_len):
-        frame = clip.samples[start : start + frame_len]
-        rms = float(np.sqrt(np.mean(frame**2)))
-        if rms > 0 and 20.0 * np.log10(rms) > energy_floor_db:
-            kept.append(frame)
-    samples = np.concatenate(kept) if kept else np.empty(0)
+    full = n - n % frame_len
+    power = clip.samples**2
+    mean_power = np.mean(power[:full].reshape(-1, frame_len), axis=1)
+    if full < n:
+        mean_power = np.append(mean_power, np.mean(power[full:]))
+    with np.errstate(divide="ignore"):  # a silent frame's level is -inf, below any floor
+        keep = 20.0 * np.log10(np.sqrt(mean_power)) > energy_floor_db
+    samples = clip.samples[np.repeat(keep, frame_len)[:n]]
     return AudioClip(samples, clip.sample_rate, clip.speaker_id, clip.label)
 
 
-def _synth_clip(rng: np.random.Generator, label: int, duration_s: float, sample_rate: int) -> np.ndarray:
+class _ClipDraw(NamedTuple):
+    """Every random number one synthetic clip is made from."""
+
+    sample_rate: int
+    f0: float
+    mod_rate: float
+    jitter_rate: float
+    jitter_phase: float
+    mod_phase: float
+    harmonic_phases: np.ndarray
+    noise: np.ndarray  # one standard normal value per sample
+
+
+def _draw_clip(rng: np.random.Generator, label: int, duration_s: float, sample_rate: int) -> _ClipDraw:
     n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
+    return _ClipDraw(  # keyword arguments are evaluated in order, which fixes the order of the draws
+        sample_rate,
+        f0=rng.uniform(*_FUNDAMENTAL_HZ[label]),
+        mod_rate=rng.uniform(*_MOD_RATE_HZ[label]),
+        jitter_rate=rng.uniform(2.0, 6.0),
+        jitter_phase=rng.uniform(0.0, 2.0 * np.pi),
+        mod_phase=rng.uniform(0.0, 2.0 * np.pi),
+        harmonic_phases=rng.uniform(0.0, 2.0 * np.pi, size=_N_HARMONICS),
+        noise=rng.standard_normal(n),
+    )
 
-    f0 = rng.uniform(*_FUNDAMENTAL_HZ[label])
-    mod_rate = rng.uniform(*_MOD_RATE_HZ[label])
-    jitter_rate = rng.uniform(2.0, 6.0)
-    jitter_phase = rng.uniform(0.0, 2.0 * np.pi)
-    mod_phase = rng.uniform(0.0, 2.0 * np.pi)
-    harmonic_phases = rng.uniform(0.0, 2.0 * np.pi, size=_N_HARMONICS)
 
-    # 1% FM jitter around the fundamental, integrated to instantaneous phase
-    inst_freq = f0 * (1.0 + 0.01 * np.sin(2.0 * np.pi * jitter_rate * t + jitter_phase))
-    phase = 2.0 * np.pi * np.cumsum(inst_freq) / sample_rate
+def _render_clip(draw: _ClipDraw) -> np.ndarray:
+    """A clip's samples, computed from its draws into draw.noise, which is returned.
 
-    tone = np.zeros(n)
-    for h in range(1, _N_HARMONICS + 1):
-        tone += np.sin(h * phase + harmonic_phases[h - 1]) / h
+    Uses no generator, so any process can render any clip, with the same bytes.
+    Sample-wise formulas run a block at a time, so memory peaks at three
+    clip-sized arrays: the noise, the signal and the squares of its level.
+    """
+    rate, n = draw.sample_rate, draw.noise.size
+    blocks = [slice(start, min(start + _RENDER_BLOCK, n)) for start in range(0, n, _RENDER_BLOCK)]
+    signal = np.empty(n)
+    for b in blocks:  # 1% FM jitter around the fundamental, integrated to instantaneous phase
+        t = np.arange(b.start, b.stop) / rate
+        signal[b] = draw.f0 * (1.0 + 0.01 * np.sin(2.0 * np.pi * draw.jitter_rate * t + draw.jitter_phase))
+    np.cumsum(signal, out=signal)
+    signal *= 2.0 * np.pi
+    signal /= rate
+    for b in blocks:
+        tone = np.zeros(b.stop - b.start)
+        for h in range(1, _N_HARMONICS + 1):
+            tone += np.sin(h * signal[b] + draw.harmonic_phases[h - 1]) / h
+        t = np.arange(b.start, b.stop) / rate
+        envelope = 1.0 - 0.4 * (1.0 + np.sin(2.0 * np.pi * draw.mod_rate * t + draw.mod_phase))  # in [0.2, 1]
+        signal[b] = tone * envelope
+    del t, tone, envelope  # a block each, not needed past the loop
 
-    envelope = 1.0 - 0.4 * (1.0 + np.sin(2.0 * np.pi * mod_rate * t + mod_phase))  # in [0.2, 1]
-    signal = tone * envelope
-
-    noise_rms = float(np.sqrt(np.mean(signal**2))) * 10.0 ** (_NOISE_DB / 20.0)
-    signal = signal + rng.standard_normal(n) * noise_rms
-    signal *= 0.9 / np.max(np.abs(signal))
-    return np.clip(signal, -1.0, 1.0)
+    noise = draw.noise
+    noise *= float(np.sqrt(np.mean(signal**2))) * 10.0 ** (_NOISE_DB / 20.0)
+    noise += signal
+    noise *= 0.9 / np.max(np.abs(noise, out=signal))
+    return np.clip(noise, -1.0, 1.0, out=noise)
 
 
 def synth_corpus(
@@ -220,29 +258,47 @@ def synth_corpus(
     sample_rate: int = 16000,
     seed: int = 0,
     split: str = "train",
-) -> tuple[CorpusManifest, list[AudioClip]]:
+    *,
+    on_clip: Callable[[ManifestEntry, AudioClip], None],
+    jobs: int = 1,
+) -> CorpusManifest:
     """Generate a deterministic labeled corpus of harmonic-tone speakers.
 
     Per-speaker durations are drawn uniformly in [duration_s/2, duration_s] so
     crop counts differ across speakers. Class 0 speakers occupy a higher
     fundamental band than class 1 and modulate faster.
+
+    Each clip goes to on_clip(entry, clip) in speaker order as soon as it is
+    made, and is not kept. With jobs > 1, jobs workers render the draws made
+    here, at most 2 * jobs at a time, into the same samples as with jobs = 1.
     """
     if n_speakers_per_class < 1:
         raise ValueError("need at least one speaker per class")
     rng = np.random.default_rng(seed)
+    labels = [0] * n_speakers_per_class + [1] * n_speakers_per_class
+    draws = (_draw_clip(rng, label, rng.uniform(duration_s / 2.0, duration_s), sample_rate) for label in labels)
     entries = []
-    clips = []
-    idx = 0
-    for label in (0, 1):
-        for _ in range(n_speakers_per_class):
-            speaker_id = f"{split}{idx:03d}"
-            dur = rng.uniform(duration_s / 2.0, duration_s)
-            samples = _synth_clip(rng, label, dur, sample_rate)
-            clip = AudioClip(samples, sample_rate, speaker_id, label)
-            entries.append(ManifestEntry(speaker_id, "", label, split, clip.duration_s))
-            clips.append(clip)
-            idx += 1
-    return CorpusManifest(entries), clips
+    # The default start method, as for the CLI's other pools: a forked worker keeps the
+    # malloc thresholds, and the executor forks its workers before starting its own thread.
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        rendered = _in_order(pool, _render_clip, draws, 2 * jobs) if pool else map(_render_clip, draws)
+        for idx, label in enumerate(labels):
+            clip = AudioClip(next(rendered), sample_rate, f"{split}{idx:03d}", label)
+            entries.append(ManifestEntry(clip.speaker_id, "", label, split, clip.duration_s))
+            on_clip(entries[-1], clip)
+            del clip  # before the next one is rendered
+    return CorpusManifest(entries)
+
+
+def _in_order(pool: Executor, fn: Callable, items: Iterable, limit: int) -> Iterator:
+    """fn of each item, in order, with at most limit submitted and not yet yielded (pool.map submits all)."""
+    in_flight: deque[Future] = deque()
+    for item in items:
+        if len(in_flight) == limit:
+            yield in_flight.popleft().result()
+        in_flight.append(pool.submit(fn, item))
+    while in_flight:
+        yield in_flight.popleft().result()
 
 
 MANIFEST_HEADER = ["speaker_id", "path", "label", "split", "duration_s"]

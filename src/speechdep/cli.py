@@ -206,46 +206,46 @@ def _write_run_artifacts(out_dir: Path, command: str, cfg: RunConfig, summary: d
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
-    del jobs  # one rng stream feeds all clips; synthesis is inherently sequential
     seed = cfg["seed"]
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
+
+    def write(entry, clip):
+        entry.path = f"wav/{entry.speaker_id}.wav"
+        write_wav(out_dir / entry.path, clip)
+
     entries = []
-    n_wav = 0
     for split, per_class, split_seed in (
         ("train", cfg["synth.speakers_per_class"], seed),
         ("test", cfg["synth.test_speakers_per_class"], seed + 1),
     ):
-        manifest, clips = synth_corpus(
+        manifest = synth_corpus(
             per_class,
             cfg["synth.duration_s"],
             sample_rate=cfg["synth.sample_rate"],
             seed=split_seed,
             split=split,
+            on_clip=write,
+            jobs=jobs,
         )
-        for entry, clip in zip(manifest.entries, clips):
-            entry.path = f"wav/{entry.speaker_id}.wav"
-            write_wav(out_dir / entry.path, clip)
-            entries.append(entry)
-            n_wav += 1
+        entries += manifest.entries
     save_manifest(out_dir / "manifest.csv", CorpusManifest(entries))
     return {
         "manifest": "manifest.csv",
         "train_speakers": 2 * cfg["synth.speakers_per_class"],
         "test_speakers": 2 * cfg["synth.test_speakers_per_class"],
-        "wav_files": n_wav,
+        "wav_files": len(entries),
     }
 
 
 # ------------------------------------------------------------ featurize
 
-def _crop_spans(entry_path: Path, cfg_values: dict) -> tuple[list[int], int]:
-    """Crop indices available for one clip after silence trimming, and its sample rate."""
+def _crop_count(entry_path: Path, cfg_values: dict) -> tuple[int, int]:
+    """Crops available in one clip after silence trimming, and its sample rate."""
     clip = trim_silence(
         load_wav(entry_path), cfg_values["trim.frame_s"], cfg_values["trim.floor_db"]
     )
-    crop_len = int(round(cfg_values["sampling.crop_s"] * clip.sample_rate))
-    return list(range(clip.samples.size // crop_len)), clip.sample_rate
+    return len(crop(clip, cfg_values["sampling.crop_s"])), clip.sample_rate
 
 
 def _featurize_speaker(task) -> tuple[str, list]:
@@ -302,17 +302,14 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
         raise CliError("data", f"manifest {manifest_path} has no train split")
 
     counts = {}
-    spans = {}
     first_rate = None
     for e in train_entries + test_entries:
         path = manifest_dir / e.path
-        indices, rate = _crop_spans(path, cfg.values)
+        counts[e.speaker_id], rate = _crop_count(path, cfg.values)
         if first_rate is None:
             first_path, first_rate = path, rate
         elif rate != first_rate:
             raise CliError("data", f"{path} is sampled at {rate} Hz, but {first_path} at {first_rate} Hz")
-        counts[e.speaker_id] = len(indices)
-        spans[e.speaker_id] = indices
 
     labels = {e.speaker_id: e.label for e in manifest.entries}
     plan = plan_balanced(
@@ -324,7 +321,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
     train_placeholders = [
         SampleCrop(e.speaker_id, i, np.empty(0), e.label)
         for e in train_entries
-        for i in spans[e.speaker_id]
+        for i in range(counts[e.speaker_id])
     ]
     train_order = [
         (c.speaker_id, c.crop_index)
@@ -336,7 +333,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
             [
                 SampleCrop(e.speaker_id, i, np.empty(0), e.label)
                 for e in test_entries
-                for i in spans[e.speaker_id]
+                for i in range(counts[e.speaker_id])
             ],
             cap=cfg["sampling.eval_cap"],
         )
@@ -354,6 +351,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
             "total": plan.total_samples,
         },
     }
+    del train_features  # written; free it before the test features are made
     if test_entries:
         test_features = _featurize_split(test_entries, manifest_dir, test_order, cfg, jobs)
         write_feature_cache(out_dir / "test.lspg", test_features)

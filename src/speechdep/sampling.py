@@ -45,6 +45,10 @@ def crop(clip: AudioClip, crop_s: float = DEFAULT_CROP_S) -> list[SampleCrop]:
     if crop_s <= 0:
         raise ValueError(f"crop_s must be positive, got {crop_s}")
     crop_len = int(round(crop_s * clip.sample_rate))
+    if crop_len < 1:
+        raise ValueError(
+            f"at {clip.sample_rate} Hz the {crop_s} s crop is {crop_len} samples; it must be at least 1"
+        )
     n = clip.samples.size // crop_len
     return [
         SampleCrop(clip.speaker_id, i, clip.samples[i * crop_len : (i + 1) * crop_len], clip.label)

@@ -57,7 +57,8 @@ def _report(capsys, number, description, ok, detail=""):
 # ----------------------------------------------------- 1: feature shape
 
 def test_criterion_01_feature_shape(capsys):
-    _, clips = synth_corpus(1, 12.0, seed=0)
+    clips = []
+    synth_corpus(1, 12.0, seed=0, on_clip=lambda entry, clip: clips.append(clip))
     clip = trim_silence(clips[0], 0.1, -60.0)
     feat = featurize(crop(clip, 4.0)[0], clip.sample_rate)
     ok = feat.shape == (513, 125)

@@ -16,6 +16,8 @@ from speechdep.audio_io import (
     synth_corpus,
     trim_silence,
     write_wav,
+    _draw_clip,
+    _render_clip,
 )
 
 
@@ -141,24 +143,111 @@ def test_trim_silence_all_quiet_and_short_clips():
         trim_silence(AudioClip(np.ones(10), 3))
 
 
+def _synth(*args, **kwargs):
+    """synth_corpus's manifest and every clip it hands over, in the order handed."""
+    clips = []
+    manifest = synth_corpus(*args, on_clip=lambda entry, clip: clips.append(clip), **kwargs)
+    return manifest, clips
+
+
+def _trim_silence_loop(clip, frame_s=0.1, energy_floor_db=-60.0):
+    """Reference: judge and keep the frames one at a time."""
+    frame_len = int(round(frame_s * clip.sample_rate))
+    if clip.samples.size < frame_len:
+        return clip.samples
+    kept = []
+    for start in range(0, clip.samples.size, frame_len):
+        frame = clip.samples[start : start + frame_len]
+        rms = float(np.sqrt(np.mean(frame**2)))
+        if rms > 0 and 20.0 * np.log10(rms) > energy_floor_db:
+            kept.append(frame)
+    return np.concatenate(kept) if kept else np.empty(0)
+
+
+def _trim_cases():
+    rate = 1000  # 100-sample frames
+    rng = np.random.default_rng(12)
+    loud = rng.uniform(-0.5, 0.5, 3 * rate)
+    gaps = loud.copy()
+    gaps[250:520] = 0.0  # silent whole and part frames
+    gaps[1700:1900] *= 1e-4  # quiet, not silent
+    yield pytest.param(AudioClip(gaps, rate), id="silent runs")
+    yield pytest.param(AudioClip(np.concatenate([gaps, [0.3] * 37]), rate), id="partial last frame")
+    yield pytest.param(AudioClip(np.concatenate([loud, [1e-5] * 37]), rate), id="quiet partial last frame")
+    at_floor = np.full(5 * 100, 1e-3)  # computes to exactly -60 dB
+    at_floor[::2] *= -1.0
+    yield pytest.param(AudioClip(np.concatenate([loud[:300], at_floor, loud[:150]]), rate), id="frames at the floor")
+    yield pytest.param(AudioClip(np.zeros(1234), rate), id="all zero")
+    yield pytest.param(AudioClip(loud[:99], rate), id="shorter than a frame")
+    yield pytest.param(AudioClip(loud[:100], rate), id="one frame")
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        levels = 10.0 ** r.uniform(-5, 0, size=int(r.integers(1, 30)))
+        samples = np.concatenate([r.standard_normal(int(r.integers(1, 400))) * lv for lv in levels])
+        samples[r.random(samples.size) < 0.3] = 0.0
+        yield pytest.param(AudioClip(samples, rate), id=f"random {seed}")
+
+
+@pytest.mark.parametrize("clip", _trim_cases())
+def test_trim_silence_is_bitwise_the_frame_loop(clip):
+    for floor in (-60.0, -40.0, -100.0):
+        expected = _trim_silence_loop(clip, 0.1, floor)
+        got = trim_silence(clip, 0.1, floor).samples
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), floor
+
+
+def _synth_clip_formula(rng, label, duration_s, sample_rate):
+    """Reference: one clip as plain whole-array formulas, drawing from rng as it goes."""
+    n = int(round(duration_s * sample_rate))
+    t = np.arange(n) / sample_rate
+    f0 = rng.uniform(*{1: (80.0, 120.0), 0: (180.0, 260.0)}[label])
+    mod_rate = rng.uniform(*{1: (0.5, 1.5), 0: (4.0, 8.0)}[label])
+    jitter_rate = rng.uniform(2.0, 6.0)
+    jitter_phase = rng.uniform(0.0, 2.0 * np.pi)
+    mod_phase = rng.uniform(0.0, 2.0 * np.pi)
+    harmonic_phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
+    inst_freq = f0 * (1.0 + 0.01 * np.sin(2.0 * np.pi * jitter_rate * t + jitter_phase))
+    phase = 2.0 * np.pi * np.cumsum(inst_freq) / sample_rate
+    tone = np.zeros(n)
+    for h in range(1, 7):
+        tone += np.sin(h * phase + harmonic_phases[h - 1]) / h
+    envelope = 1.0 - 0.4 * (1.0 + np.sin(2.0 * np.pi * mod_rate * t + mod_phase))
+    signal = tone * envelope
+    noise_rms = float(np.sqrt(np.mean(signal**2))) * 10.0 ** (-30.0 / 20.0)
+    signal = signal + rng.standard_normal(n) * noise_rms
+    signal *= 0.9 / np.max(np.abs(signal))
+    return np.clip(signal, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rendered_draws_are_bitwise_the_formula(seed):
+    label = seed % 2
+    # shorter than one render block, several blocks with a partial last one, and 8 kHz
+    for duration_s, rate in ((0.3, 16000), (2.7183, 16000), (5.0, 8000)):
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        samples = _render_clip(_draw_clip(drawn, label, duration_s, rate))
+        assert np.array_equal(samples, _synth_clip_formula(reference, label, duration_s, rate))
+        assert drawn.random() == reference.random()  # the draws left the generator in the same state
+
+
 def test_synth_corpus_geometry_and_determinism():
-    manifest, clips = synth_corpus(3, duration_s=8.0, seed=5)
+    manifest, clips = _synth(3, duration_s=8.0, seed=5)
     assert len(clips) == 6
     assert [e.label for e in manifest.entries] == [0, 0, 0, 1, 1, 1]
     assert len({e.speaker_id for e in manifest.entries}) == 6
     for clip in clips:
         assert 4.0 - 1e-9 <= clip.duration_s <= 8.0 + 1e-9
         assert np.max(np.abs(clip.samples)) <= 1.0
-    again, clips2 = synth_corpus(3, duration_s=8.0, seed=5)
+    again, clips2 = _synth(3, duration_s=8.0, seed=5)
     for a, b in zip(clips, clips2):
         np.testing.assert_array_equal(a.samples, b.samples)
-    _, other = synth_corpus(3, duration_s=8.0, seed=6)
+    _, other = _synth(3, duration_s=8.0, seed=6)
     assert not np.array_equal(clips[0].samples, other[0].samples)
 
 
 def test_synth_corpus_classes_occupy_their_bands():
     # class 1 fundamental sits in 80-120 Hz, class 0 in 180-260 Hz
-    manifest, clips = synth_corpus(4, duration_s=6.0, seed=9)
+    manifest, clips = _synth(4, duration_s=6.0, seed=9)
     for entry, clip in zip(manifest.entries, clips):
         n = clip.sample_rate  # one-second window, 1 Hz bins
         spectrum = np.abs(np.fft.rfft(clip.samples[:n]))

@@ -10,6 +10,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from speechdep import audio_io, cli
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -40,3 +42,26 @@ def test_counted_arguments_keep_their_positions():
         (features.write_feature_cache, 0, "path"),
     ):
         assert list(inspect.signature(fn).parameters)[index] == name, fn.__name__
+
+
+def test_synth_renders_every_clip_inside_synth_corpus(tmp_path, monkeypatch):
+    """The tracer times synth_corpus, so at --jobs 1 the rendering must run inside that call."""
+    depth, outside = [0], []
+    synth_corpus, render = cli.synth_corpus, audio_io._render_clip
+
+    def spied_synth_corpus(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return synth_corpus(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def spied_render(draw):
+        outside.append(depth[0] == 0)
+        return render(draw)
+
+    monkeypatch.setattr(cli, "synth_corpus", spied_synth_corpus)
+    monkeypatch.setattr(audio_io, "_render_clip", spied_render)
+    sizes = ["synth.speakers_per_class=2", "synth.test_speakers_per_class=1", "synth.duration_s=1"]
+    assert cli.main(["synth", "--out", str(tmp_path), "--jobs", "1", *(f"--set={kv}" for kv in sizes)]) == 0
+    assert outside == [False] * 6

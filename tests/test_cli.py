@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import struct
+import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -122,6 +123,53 @@ def test_synth_layout_and_determinism(tmp_path):
     summary = json.loads((out_a / "run_summary.json").read_text())
     assert summary["summary"]["train_speakers"] == 6
     assert summary["summary"]["test_speakers"] == 4
+
+
+# recorded before synth streamed its clips: --seed 7, 2 train and 1 test speakers per class, 3 s
+GOLDEN_SYNTH_SHA256 = {
+    "manifest.csv": "437fbcc1ebe008ad5d7bfbad19542df7e32714ae01b2a629986a47c9d9943797",
+    "wav/test000.wav": "6f84108303ede4c4b1a9271966923faf79b4a15cc5d99f6b56276b4f7db019dc",
+    "wav/test001.wav": "e8169d214eb39590be7cc40fb2016c69ccf07c0896bcc128c75c8f0d49c360bd",
+    "wav/train000.wav": "d49976e9b841611d1eaeaf9c106d3bb8be263956d4495677ff3cc9c74c87d8f5",
+    "wav/train001.wav": "2637d54fc29e1699783a1d75d2c5dae65dd6351c6f2e6413b9d2a25504f484f5",
+    "wav/train002.wav": "a62f95151eb1fcfed0fc6b47d466545859f7453465048a7098480056972415c9",
+    "wav/train003.wav": "a80b845e3365bd100f29d835070d679680386ed949037e64f58437d78329ed03",
+}
+_GOLDEN_SYNTH = [
+    "--seed", 7,
+    "--set", "synth.speakers_per_class=2",
+    "--set", "synth.test_speakers_per_class=1",
+    "--set", "synth.duration_s=3",
+]
+
+
+def _synth_digests(out):
+    files = [out / "manifest.csv", *sorted((out / "wav").glob("*.wav"))]
+    return {path.relative_to(out).as_posix(): _sha256(path) for path in files}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])  # 6 clips: more than the 2 * jobs a --jobs 2 run keeps in flight
+def test_synth_bytes_are_golden_at_any_jobs(tmp_path, jobs):
+    assert _run("synth", "--out", tmp_path, "--jobs", jobs, *_GOLDEN_SYNTH) == 0
+    assert _synth_digests(tmp_path) == GOLDEN_SYNTH_SHA256
+
+
+def test_synth_memory_is_about_one_clip(tmp_path):
+    """Clips are written as they are made, so memory never holds the corpus (10 clips here)."""
+    cfg = RunConfig.defaults()
+    for item in FAST[1::2]:
+        cfg.set(*item.split("="))
+    cfg.values["seed"] = SEED
+    cli.cmd_synth(cfg, tmp_path / "warm", 1)  # first-call imports are not clip data
+    tracemalloc.start()
+    try:
+        cli.cmd_synth(cfg, tmp_path / "out", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float64 bytes of a synth.duration_s clip, the longest synth makes
+    clip_bytes = 8 * int(round(cfg["synth.duration_s"] * cfg["synth.sample_rate"]))
+    assert peak < 3 * clip_bytes, peak / clip_bytes
 
 
 def test_featurize_writes_caches(pipe):
@@ -465,6 +513,14 @@ def test_sample_rate_too_low_is_one_data_error_line(pipe, tmp_path, capsys, rate
         write_wav(wav, AudioClip(clip.samples[:: 16000 // rate], rate, clip.speaker_id))
     code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
     assert f"at {rate} Hz" in _assert_one_error_line(code, capsys, "data")
+
+
+def test_crop_shorter_than_one_sample_is_one_data_error_line(pipe, tmp_path, capsys):
+    code = _run(
+        "featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", *FAST,
+        "--set", "sampling.crop_s=0.00001",  # 0.16 samples at 16 kHz
+    )
+    assert "at 16000 Hz" in _assert_one_error_line(code, capsys, "data")
 
 
 def test_directory_as_wav_path_is_one_io_error_line(pipe, tmp_path, capsys):
