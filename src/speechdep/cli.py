@@ -369,29 +369,35 @@ def _read_cache(cache_path) -> FeatureSet:
     return features
 
 
-def _fit_machine(features: FeatureSet, cfg: RunConfig, out_dir: Path, machine: int) -> tuple[int, str, float]:
-    """Train machine m on an already-read feature set and write its artifacts."""
-    net_cfg = cfg.network_config(*features.record_shape)
-    train_cfg = cfg.train_config()
-    params, history = train(features, net_cfg, train_cfg, init_seed=train_cfg.seed + machine)
-    model_name = f"model_{machine:03d}.sdm"
-    save_model(out_dir / model_name, net_cfg, params)
-    write_history_csv(out_dir / f"history_{machine:03d}.csv", history)
-    return machine, model_name, history.train_loss[-1]
-
-
 # A --jobs worker's feature sets, each read on the first task that needs it.
 # Not a pool initializer: an error raised there breaks the pool and loses its
 # message, and a forked pool starts every worker, busy or not.
 _worker_features: dict[str, FeatureSet] = {}
 
 
-def _train_machine(task) -> tuple[int, str, float]:
-    """Worker: train machine m on the cache, read once per worker."""
-    cache_path, out_dir, cfg_values, machine = task
-    if cache_path not in _worker_features:
-        _worker_features[cache_path] = _read_cache(cache_path)
-    return _fit_machine(_worker_features[cache_path], RunConfig(cfg_values), Path(out_dir), machine)
+def _train_group(task, features: FeatureSet | None = None) -> list[tuple[str, float]]:
+    """Train a group of machines in lockstep and write their artifacts in machine order.
+
+    A --jobs worker passes no features and reads the cache once per process.
+    """
+    cache_path, out_dir, cfg_values, machines = task
+    if features is None:
+        if cache_path not in _worker_features:
+            _worker_features[cache_path] = _read_cache(cache_path)
+        features = _worker_features[cache_path]
+    cfg = RunConfig(cfg_values)
+    net_cfg = cfg.network_config(*features.record_shape)
+    train_cfg = cfg.train_config()
+    all_params, histories = train(
+        features, net_cfg, train_cfg, init_seeds=[train_cfg.seed + m for m in machines]
+    )
+    outcomes = []
+    for m, params, history in zip(machines, all_params, histories):
+        model_name = f"model_{m:03d}.sdm"
+        save_model(Path(out_dir) / model_name, net_cfg, params)
+        write_history_csv(Path(out_dir) / f"history_{m:03d}.csv", history)
+        outcomes.append((model_name, history.train_loss[-1]))
+    return outcomes
 
 
 def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dict:
@@ -399,16 +405,18 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
         raise CliError("io", f"feature cache not found: {cache_path}")
     machines = cfg["ensemble.machines"]
     if jobs > 1:
-        tasks = [(str(cache_path), str(out_dir), cfg.values, m) for m in range(machines)]
+        # at most `jobs` contiguous groups, sizes differing by at most one
+        groups = [g for g in np.array_split(np.arange(machines), jobs) if g.size]
+        tasks = [(str(cache_path), str(out_dir), cfg.values, g.tolist()) for g in groups]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_train_machine, tasks))
+            outcomes = [o for group in pool.map(_train_group, tasks) for o in group]
     else:
-        features = _read_cache(cache_path)
-        outcomes = [_fit_machine(features, cfg, out_dir, m) for m in range(machines)]
+        task = (str(cache_path), str(out_dir), cfg.values, range(machines))
+        outcomes = _train_group(task, _read_cache(cache_path))
     return {
         "machines": machines,
-        "models": [name for _, name, _ in outcomes],
-        "final_train_loss": [loss for _, _, loss in outcomes],
+        "models": [name for name, _ in outcomes],
+        "final_train_loss": [loss for _, loss in outcomes],
     }
 
 

@@ -101,17 +101,13 @@ def speaker_label_mean(probs, threshold: float = 0.5) -> int:
 
 
 def _mode(labels, rng) -> int:
+    """Majority label; an exact tie is a uniform draw from rng."""
     labels = np.asarray(labels)
     ones = int(np.sum(labels == 1))
     zeros = labels.size - ones
     if ones == zeros:
         return int(rng.integers(0, 2))
     return int(ones > zeros)
-
-
-def speaker_label_mode(labels, rng) -> int:
-    """Majority label; an exact tie is a uniform draw from rng."""
-    return _mode(labels, rng)
 
 
 def _check_consistent(sets: list[PredictionSet]) -> list[str]:
@@ -151,7 +147,7 @@ def fuse_method3(sets: list[PredictionSet], rng) -> dict[str, int]:
     speakers = _check_consistent(sets)
     out = {}
     for s in speakers:
-        votes = [speaker_label_mode(ps.labels[s], rng) for ps in sets]
+        votes = [_mode(ps.labels[s], rng) for ps in sets]
         out[s] = _mode(votes, rng)
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 from .ensemble import EnsembleConfig, PredictionSet, fuse
 from .features import FeatureSet
 from .network import NetworkConfig, NetworkParams, forward_batch
-from .trainer import TrainConfig, TrainHistory, train_ensemble
+from .trainer import TrainConfig, TrainHistory, train
 
 
 @dataclass
@@ -229,9 +229,8 @@ def cross_validate(
         in_val = np.array([s in held for s in train_set.speaker_ids], dtype=bool)
         fold_train = train_set.take(np.flatnonzero(~in_val))
         fold_val = train_set.take(np.flatnonzero(in_val)) if held else None
-        params_list, hist_list = train_ensemble(
-            fold_train, net_cfg, train_cfg, ens_cfg.machines, val_features=fold_val
-        )
+        seeds = range(train_cfg.seed, train_cfg.seed + ens_cfg.machines)
+        params_list, hist_list = train(fold_train, net_cfg, train_cfg, init_seeds=seeds, val_features=fold_val)
         sets = prediction_set_for(params_list, net_cfg, test_set, ens_cfg.threshold)
         fused = fuse(sets, ens_cfg)
         fold_reports.append(metrics(confusion(test_truth, fused)))

@@ -11,6 +11,15 @@ Per step, with decay rho and stabiliser eps:
 The global learning rate decays geometrically from lr_start to lr_end across
 epochs. Shuffling and initialisation are fully seeded, so a rerun with the
 same config is bitwise identical.
+
+An ensemble trains in lockstep: every machine draws its shuffle order from
+cfg.seed alone, so each step normalizes its batch once and every machine, in
+seed order, takes its forward, backward and Adadelta step on that operand.
+Each machine does exactly the arithmetic it would do alone. All of the
+machines' params and Adadelta state (eg2, edx2) stay alive together, about
+3 x n_params x 8 B per machine (14.2 MB at the reference geometry). The CLI's
+`train --jobs N` splits the machines into at most N contiguous groups and
+trains each group this way in a worker of its own.
 """
 
 from __future__ import annotations
@@ -123,18 +132,21 @@ def train(
     features,
     net_cfg: NetworkConfig,
     cfg: TrainConfig,
-    init_seed: int | None = None,
+    init_seeds=None,
     val_features=None,
-) -> tuple[NetworkParams, TrainHistory]:
-    """Train one network on labelled feature records (a FeatureSet or a LogSpectrogram list).
+) -> tuple[list[NetworkParams], list[TrainHistory]]:
+    """Train one network per init seed on labelled feature records (a FeatureSet or a LogSpectrogram list).
 
     Records flagged normalized=False are min-max normalized as each batch is
-    built. init_seed defaults to cfg.seed; the shuffle order always derives
-    from cfg.seed alone so ensemble members can share it while differing in
-    initialisation.
+    built. init_seeds defaults to [cfg.seed]; the shuffle order always derives
+    from cfg.seed alone, so the machines share every batch and differ only in
+    initialisation. Returns params and histories in init_seeds order.
     """
     if not features:
         raise ValueError("no training samples")
+    seeds = [cfg.seed] if init_seeds is None else list(init_seeds)
+    if not seeds:
+        raise ValueError("need at least one machine")
     shape = (net_cfg.freq_bins, net_cfg.time_steps)
     if features[0].shape != shape:
         raise ValueError(f"feature shape {features[0].shape} does not match network config")
@@ -144,64 +156,43 @@ def train(
     n = len(data)
     operand = np.empty(shape[0] * min(cfg.batch_size, n) * shape[1])  # every step's conv operand
 
-    params = init_params(net_cfg, seed=cfg.seed if init_seed is None else init_seed)
-    state = AdadeltaState.zeros(params)
+    all_params = [init_params(net_cfg, seed=seed) for seed in seeds]
+    states = [AdadeltaState.zeros(params) for params in all_params]
     order_rng = np.random.default_rng(cfg.seed)
-    history = TrainHistory()
+    histories = [TrainHistory() for _ in seeds]
 
     for epoch in range(cfg.epochs):
         lr = lr_schedule(cfg, epoch)
         order = order_rng.permutation(n)
-        epoch_loss = 0.0
+        epoch_losses = [0.0] * len(seeds)
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             take = order[lo : lo + cfg.batch_size]
             bx, by = data.batch(take, operand), ys[take]
-            cache = forward_batch(params, bx, net_cfg)
-            loss = batch_loss(cache.probs, by)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                )
-            grads = backward_batch(params, cache, bx, by, net_cfg)
-            del cache  # free its per-step activations before the next forward
-            params, state = adadelta_step(params, grads, state, lr, cfg.rho, cfg.eps)
-            epoch_loss += loss * bx.shape[0]
+            for m, seed in enumerate(seeds):
+                cache = forward_batch(all_params[m], bx, net_cfg)
+                loss = batch_loss(cache.probs, by)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_index}, machine seed {seed}"
+                    )
+                grads = backward_batch(all_params[m], cache, bx, by, net_cfg)
+                del cache  # free its per-step activations before the next forward
+                all_params[m], states[m] = adadelta_step(all_params[m], grads, states[m], lr, cfg.rho, cfg.eps)
+                del grads  # and its gradients, before the next machine's pass
+                epoch_losses[m] += loss * bx.shape[0]
 
-        history.lr.append(lr)
-        history.train_loss.append(epoch_loss / n)
-        if val is not None:
-            val_loss, val_acc = evaluate_loss(params, net_cfg, val)
-            history.val_loss.append(val_loss)
-            history.val_acc.append(val_acc)
-        else:
-            history.val_loss.append(float("nan"))
-            history.val_acc.append(float("nan"))
+        for params, history, epoch_loss in zip(all_params, histories, epoch_losses):
+            history.lr.append(lr)
+            history.train_loss.append(epoch_loss / n)
+            if val is not None:
+                val_loss, val_acc = evaluate_loss(params, net_cfg, val)
+                history.val_loss.append(val_loss)
+                history.val_acc.append(val_acc)
+            else:
+                history.val_loss.append(float("nan"))
+                history.val_acc.append(float("nan"))
 
-    return params, history
-
-
-def train_ensemble(
-    features,
-    net_cfg: NetworkConfig,
-    cfg: TrainConfig,
-    machines: int,
-    val_features=None,
-) -> tuple[list[NetworkParams], list[TrainHistory]]:
-    """Train `machines` networks that differ only in weight initialisation.
-
-    Machine m initialises from seed cfg.seed + m; all machines visit the
-    training data in the same shuffled order.
-    """
-    if machines < 1:
-        raise ValueError("need at least one machine")
-    all_params, all_histories = [], []
-    for m in range(machines):
-        params, history = train(
-            features, net_cfg, cfg, init_seed=cfg.seed + m, val_features=val_features
-        )
-        all_params.append(params)
-        all_histories.append(history)
-    return all_params, all_histories
+    return all_params, histories
 
 
 def write_history_csv(path, history: TrainHistory) -> None:

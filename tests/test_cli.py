@@ -209,6 +209,16 @@ def test_train_jobs_2_writes_the_jobs_1_bytes(pipe, tmp_path):
         assert (pipe.models / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
+def test_train_jobs_2_splits_an_odd_ensemble_into_uneven_groups(pipe, tmp_path):
+    cache, three = pipe.feats / "train.lspg", ["--set", "ensemble.machines=3"]
+    serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+    assert _run("train", "--cache", cache, "--out", serial, "--seed", SEED, *FAST, *three) == 0
+    assert _run("train", "--cache", cache, "--out", parallel, "--seed", SEED, "--jobs", 2, *FAST, *three) == 0
+    names = [f"{kind}_{m:03d}.{ext}" for m in range(3) for kind, ext in (("model", "sdm"), ("history", "csv"))]
+    for name in [*names, "run_summary.json"]:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
 def test_evaluate_m1_equals_library_single_machine(pipe, tmp_path):
     solo = tmp_path / "solo"
     solo.mkdir()
@@ -504,6 +514,34 @@ def test_short_model_file_is_one_data_error_line(small_cache, tmp_path, capsys, 
     assert f"{model}: " in _assert_one_error_line(code, capsys, "data")
 
 
+def _damaged_model(blob, kind, where, value):
+    """A copy of a valid model file cut at any byte, with one byte flipped, or with bytes appended."""
+    if kind == "cut":
+        return blob[: where % len(blob)]
+    out = bytearray(blob)
+    if kind == "flip":
+        out[where % len(out)] ^= 1 + value % 255
+    else:
+        out += bytes([value % 256]) * (1 + where % 16)
+    return bytes(out)
+
+
+@settings(max_examples=50, deadline=None, database=None)  # writes nothing outside pytest's temp dirs
+@given(kind=st.sampled_from(["cut", "flip", "extend"]), where=st.integers(0, 10**6), value=st.integers(0, 255))
+def test_damaged_model_is_one_data_error_line(small_cache, kind, where, value):
+    models = small_cache.root / "damaged_models"
+    models.mkdir(exist_ok=True)
+    blob = (small_cache.root / "models" / "model_000.sdm").read_bytes()
+    (models / "model_000.sdm").write_bytes(_damaged_model(blob, kind, where, value))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _run(  # an exception escaping main would fail the test: no traceback
+            "evaluate", "--models", models, "--cache", small_cache.good, "--out", small_cache.root / "e", *_SMALL_RUN
+        )
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:data: "), (kind, lines)
+
+
 @pytest.mark.parametrize("rate", [8, 1])  # an 8 Hz STFT hop and a 1 Hz trim frame round to 0 samples
 def test_sample_rate_too_low_is_one_data_error_line(pipe, tmp_path, capsys, rate):
     corpus = tmp_path / "corpus"
@@ -551,3 +589,18 @@ def test_train_jobs_2_reads_the_cache_once_per_worker(small_cache, tmp_path, mon
     reads = log.read_text().split()
     assert 1 <= len(reads) <= 2 and len(set(reads)) == len(reads), reads
     assert len(list((tmp_path / "m").glob("model_*.sdm"))) == 4
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_non_finite_raw_record_is_one_train_error_line(tmp_path, capsys, jobs):
+    rng = np.random.default_rng(5)
+    raw = [LogSpectrogram(rng.normal(size=(4, 6)).astype(np.float32), f"s{i}", i, i % 2) for i in range(8)]
+    raw[3].values[1, 2] = np.nan
+    cache, out = tmp_path / "nan.lspg", tmp_path / "m"
+    write_feature_cache(cache, raw)
+    argv = ["--seed", SEED, "--set", "ensemble.machines=2", "--set", "train.epochs=1", "--jobs", jobs]
+    code = _run("train", "--cache", cache, "--out", out, *argv)
+    line = _assert_one_error_line(code, capsys, "train")
+    assert line.endswith(f"non-finite loss at epoch 0, batch 0, machine seed {SEED}"), line
+    if jobs == 1:
+        assert not list(out.glob("model_*.sdm"))

@@ -6,6 +6,7 @@ import pytest
 from speechdep.ensemble import (
     EnsembleConfig,
     PredictionSet,
+    _mode,
     f1_vs_m_experiment,
     fuse,
     fuse_method1,
@@ -14,7 +15,6 @@ from speechdep.ensemble import (
     read_predictions_csv,
     sample_labels,
     speaker_label_mean,
-    speaker_label_mode,
     write_predictions_csv,
 )
 
@@ -89,12 +89,12 @@ def test_speaker_label_mean_hand_cases():
 
 
 def test_speaker_label_mode_majority_and_ties():
-    assert speaker_label_mode([1, 1, 0], RaisingRng()) == 1
-    assert speaker_label_mode([0, 0, 0, 0], RaisingRng()) == 0
-    assert speaker_label_mode([0, 1], StubRng(0)) == 0
-    assert speaker_label_mode([0, 1], StubRng(1)) == 1
-    draws = [speaker_label_mode([0, 1], np.random.default_rng(123)) for _ in range(3)]
-    again = [speaker_label_mode([0, 1], np.random.default_rng(123)) for _ in range(3)]
+    assert _mode([1, 1, 0], RaisingRng()) == 1
+    assert _mode([0, 0, 0, 0], RaisingRng()) == 0
+    assert _mode([0, 1], StubRng(0)) == 0
+    assert _mode([0, 1], StubRng(1)) == 1
+    draws = [_mode([0, 1], np.random.default_rng(123)) for _ in range(3)]
+    again = [_mode([0, 1], np.random.default_rng(123)) for _ in range(3)]
     assert draws == again
 
 
@@ -134,8 +134,8 @@ def test_m_equals_one_reductions():
     probs = rng.uniform(size=5).tolist()
     ps = _set_from_probs(0, probs)
     assert fuse_method1([ps])["spk"] == speaker_label_mean(probs)
-    assert fuse_method2([ps], RaisingRng())["spk"] == speaker_label_mode(ps.labels["spk"], RaisingRng())
-    assert fuse_method3([ps], RaisingRng())["spk"] == speaker_label_mode(ps.labels["spk"], RaisingRng())
+    assert fuse_method2([ps], RaisingRng())["spk"] == _mode(ps.labels["spk"], RaisingRng())
+    assert fuse_method3([ps], RaisingRng())["spk"] == _mode(ps.labels["spk"], RaisingRng())
 
 
 def test_machine_permutation_invariance():

@@ -16,7 +16,6 @@ from speechdep.trainer import (
     evaluate_loss,
     lr_schedule,
     train,
-    train_ensemble,
     write_history_csv,
 )
 
@@ -129,8 +128,8 @@ def _toy_net():
 def test_train_reduces_loss_and_is_deterministic():
     feats = _toy_features(8)
     cfg = TrainConfig(epochs=12, batch_size=4, lr_start=1.0, lr_end=0.1, seed=3)
-    params1, hist1 = train(feats, _toy_net(), cfg)
-    params2, hist2 = train(feats, _toy_net(), cfg)
+    [params1], [hist1] = train(feats, _toy_net(), cfg)
+    [params2], [hist2] = train(feats, _toy_net(), cfg)
     assert hist1.train_loss[-1] < hist1.train_loss[0]
     assert hist1.train_loss == hist2.train_loss
     for name in PARAM_FIELDS[:-1]:
@@ -143,10 +142,10 @@ def test_train_validation_history():
     feats = _toy_features(6)
     val = _toy_features(3, seed=9)
     cfg = TrainConfig(epochs=5, batch_size=6, lr_start=0.5, lr_end=0.1, seed=0)
-    _, hist = train(feats, _toy_net(), cfg, val_features=val)
+    _, [hist] = train(feats, _toy_net(), cfg, val_features=val)
     assert all(np.isfinite(hist.val_loss))
     assert all(0.0 <= a <= 1.0 for a in hist.val_acc)
-    _, bare = train(feats, _toy_net(), cfg)
+    _, [bare] = train(feats, _toy_net(), cfg)
     assert all(math.isnan(v) for v in bare.val_loss)
 
 
@@ -154,7 +153,7 @@ def test_train_learns_separable_toy_task():
     feats = _toy_features(10)
     cfg = TrainConfig(epochs=30, batch_size=5, lr_start=1.0, lr_end=0.1, seed=1)
     net = _toy_net()
-    params, _ = train(feats, net, cfg)
+    [params], _ = train(feats, net, cfg)
     correct = sum(
         (forward_batch(params, f.values[None], net).probs[0] >= 0.5) == bool(f.label) for f in feats
     )
@@ -164,8 +163,8 @@ def test_train_learns_separable_toy_task():
 def test_train_init_seed_changes_outcome_but_not_order():
     feats = _toy_features(6)
     cfg = TrainConfig(epochs=3, batch_size=4, lr_start=0.5, lr_end=0.1, seed=5)
-    params_a, hist_a = train(feats, _toy_net(), cfg, init_seed=100)
-    params_b, hist_b = train(feats, _toy_net(), cfg, init_seed=101)
+    [params_a], [hist_a] = train(feats, _toy_net(), cfg, init_seeds=[100])
+    [params_b], [hist_b] = train(feats, _toy_net(), cfg, init_seeds=[101])
     assert not np.array_equal(params_a.w_conv, params_b.w_conv)
     assert hist_a.lr == hist_b.lr
 
@@ -206,9 +205,9 @@ def test_raw_and_pre_normalized_features_train_the_same_params(tmp_path):
     path = tmp_path / "raw.lspg"
     write_feature_cache(path, raw)
     cfg = TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=6)
-    expected, hist = train([normalize_feature(f) for f in raw], _toy_net(), cfg)
+    [expected], [hist] = train([normalize_feature(f) for f in raw], _toy_net(), cfg)
     for features in (raw, read_feature_cache(path), read_feature_cache(path, normalize=False)):
-        params, again = train(features, _toy_net(), cfg)
+        [params], [again] = train(features, _toy_net(), cfg)
         _assert_same_params(params, expected)
         assert again.train_loss == hist.train_loss
 
@@ -266,13 +265,28 @@ def test_train_memory_is_the_block_plus_a_batch(tmp_path):
 def test_train_ensemble_shares_order_and_varies_init():
     feats = _toy_features(6)
     cfg = TrainConfig(epochs=4, batch_size=6, lr_start=0.5, lr_end=0.1, seed=2)
-    params_list, hist_list = train_ensemble(feats, _toy_net(), cfg, machines=3)
+    params_list, hist_list = train(feats, _toy_net(), cfg, init_seeds=range(cfg.seed, cfg.seed + 3))
     assert len(params_list) == 3
     assert not np.array_equal(params_list[0].w_conv, params_list[1].w_conv)
     assert hist_list[0].lr == hist_list[1].lr == hist_list[2].lr
-    # machine m is reproducible standalone via init_seed = seed + m
-    solo, _ = train(feats, _toy_net(), cfg, init_seed=cfg.seed + 1)
+    # machine m is reproducible standalone via init seed = seed + m
+    [solo], _ = train(feats, _toy_net(), cfg, init_seeds=[cfg.seed + 1])
     np.testing.assert_array_equal(solo.w_conv, params_list[1].w_conv)
+
+
+def test_lockstep_machines_equal_single_seed_runs():
+    feats = _raw_features(14)
+    val = _toy_features(3, seed=9)
+    cfg = TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=7)
+    seeds = [21, 5, 13]
+    params_list, hist_list = train(feats, _toy_net(), cfg, init_seeds=seeds, val_features=val)
+    assert len(params_list) == len(hist_list) == 3
+    for seed, params, hist in zip(seeds, params_list, hist_list):
+        [solo], [solo_hist] = train(feats, _toy_net(), cfg, init_seeds=[seed], val_features=val)
+        for name in PARAM_FIELDS:
+            assert np.asarray(getattr(params, name)).tobytes() == np.asarray(getattr(solo, name)).tobytes(), name
+        for column in ("lr", "train_loss", "val_loss", "val_acc"):
+            assert np.array(getattr(hist, column)).tobytes() == np.array(getattr(solo_hist, column)).tobytes(), column
 
 
 def test_evaluate_loss_hand_case():
