@@ -274,6 +274,10 @@ def synth_corpus(
     """
     if n_speakers_per_class < 1:
         raise ValueError("need at least one speaker per class")
+    if not (np.isfinite(duration_s) and duration_s > 0.0):
+        raise ValueError(f"duration_s must be a positive finite number of seconds, got {duration_s}")
+    if sample_rate < 1:
+        raise ValueError(f"sample_rate must be >= 1 Hz, got {sample_rate}")
     rng = np.random.default_rng(seed)
     labels = [0] * n_speakers_per_class + [1] * n_speakers_per_class
     draws = (_draw_clip(rng, label, rng.uniform(duration_s / 2.0, duration_s), sample_rate) for label in labels)

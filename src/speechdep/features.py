@@ -130,23 +130,6 @@ def featurize_raw(crop: SampleCrop, sample_rate: int, cfg: StftConfig | None = N
     return LogSpectrogram(values, crop.speaker_id, crop.crop_index, crop.label, normalized=False)
 
 
-def normalize_feature(feature: LogSpectrogram) -> LogSpectrogram:
-    if feature.normalized:
-        return feature
-    return LogSpectrogram(
-        minmax_normalize(feature.values),
-        feature.speaker_id,
-        feature.crop_index,
-        feature.label,
-        normalized=True,
-    )
-
-
-def featurize(crop: SampleCrop, sample_rate: int, cfg: StftConfig | None = None) -> LogSpectrogram:
-    """Normalized log-spectrogram of a crop (the network input)."""
-    return normalize_feature(featurize_raw(crop, sample_rate, cfg))
-
-
 def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
     """Write pre-normalization float32 features; all matrices must share one shape."""
     if not features:

@@ -10,10 +10,12 @@ post-ReLU non-negative. There is one pass: forward_batch and backward_batch
 over a (batch, freq_bins, time_steps) stack, scored by batch_loss, serve
 training, prediction and the gradient check alike. All math is float64.
 
-Model file layout (little-endian): magic ``SDM1``, version u16, seven u32
-config fields (freq_bins, time_steps, filters, pool_kernel, pool_stride,
-pool_pad, hidden), the parameter blocks w_conv, b_conv, w_hidden, b_hidden,
-w_out, b_out as float64, and a trailing CRC32 of everything before it.
+A model's parameters are one float64 vector of n_params values; NetworkParams
+names six views into it, the blocks w_conv, b_conv, w_hidden, b_hidden, w_out
+and b_out in that order. Model file layout (little-endian): magic ``SDM1``,
+version u16, seven u32 config fields (freq_bins, time_steps, filters,
+pool_kernel, pool_stride, pool_pad, hidden), the parameter vector as float64,
+and a trailing CRC32 of everything before it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class NetworkConfig:
             raise ValueError("all dimensions must be >= 1")
         if self.pool_kernel < 1 or self.pool_stride < 1:
             raise ValueError("pool kernel and stride must be >= 1")
+        if self.pool_pad < 0:
+            raise ValueError(f"pool_pad must be >= 0, got {self.pool_pad}")
 
     @property
     def pooled_steps(self) -> int:
@@ -61,46 +65,44 @@ class NetworkConfig:
         return self.pooled_steps * self.filters
 
     @property
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shapes of the parameter blocks, in PARAM_FIELDS order."""
+        f, h = self.filters, self.hidden
+        return ((f, self.freq_bins), (f,), (h, self.flat_size), (h,), (h,), ())
+
+    @property
     def n_params(self) -> int:
-        return (
-            self.filters * self.freq_bins
-            + self.filters
-            + self.hidden * self.flat_size
-            + self.hidden
-            + self.hidden
-            + 1
-        )
+        return sum(math.prod(shape) for shape in self.param_shapes)
 
 
-@dataclass
 class NetworkParams:
+    """The parameter blocks as named views, in PARAM_FIELDS order, into one float64 vector.
+
+    vector defaults to zeros; b_out is a 0-d view. Assigning to a block or to
+    vector writes into the vector, so no block can come unbound from it.
+    """
+
     w_conv: np.ndarray  # (filters, freq_bins)
     b_conv: np.ndarray  # (filters,)
     w_hidden: np.ndarray  # (hidden, flat_size)
     b_hidden: np.ndarray  # (hidden,)
     w_out: np.ndarray  # (hidden,)
-    b_out: float
+    b_out: np.ndarray  # ()
+
+    def __init__(self, cfg: NetworkConfig, vector: np.ndarray | None = None):
+        shapes = cfg.param_shapes
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        vector = np.zeros(cfg.n_params) if vector is None else vector
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "vector", vector)
+        for name, shape, block in zip(PARAM_FIELDS, shapes, np.split(vector, ends[:-1])):
+            object.__setattr__(self, name, block.reshape(shape))
+
+    def __setattr__(self, name, value):
+        getattr(self, name)[...] = value
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            self.w_conv.copy(),
-            self.b_conv.copy(),
-            self.w_hidden.copy(),
-            self.b_hidden.copy(),
-            self.w_out.copy(),
-            float(self.b_out),
-        )
-
-
-def zeros_like_params(params: NetworkParams) -> NetworkParams:
-    return NetworkParams(
-        np.zeros_like(params.w_conv),
-        np.zeros_like(params.b_conv),
-        np.zeros_like(params.w_hidden),
-        np.zeros_like(params.b_hidden),
-        np.zeros_like(params.w_out),
-        0.0,
-    )
+        return NetworkParams(self.cfg, self.vector.copy())
 
 
 def init_params(cfg: NetworkConfig, seed: int = 0) -> NetworkParams:
@@ -111,14 +113,11 @@ def init_params(cfg: NetworkConfig, seed: int = 0) -> NetworkParams:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
 
-    return NetworkParams(
-        w_conv=glorot((cfg.filters, cfg.freq_bins), cfg.freq_bins, cfg.filters),
-        b_conv=np.zeros(cfg.filters),
-        w_hidden=glorot((cfg.hidden, cfg.flat_size), cfg.flat_size, cfg.hidden),
-        b_hidden=np.zeros(cfg.hidden),
-        w_out=glorot((cfg.hidden,), cfg.hidden, 1),
-        b_out=0.0,
-    )
+    params = NetworkParams(cfg)
+    params.w_conv = glorot((cfg.filters, cfg.freq_bins), cfg.freq_bins, cfg.filters)
+    params.w_hidden = glorot((cfg.hidden, cfg.flat_size), cfg.flat_size, cfg.hidden)
+    params.w_out = glorot((cfg.hidden,), cfg.hidden, 1)
+    return params
 
 
 def _sigmoid(z):
@@ -140,29 +139,23 @@ def numerical_gradient(
     def loss_at(p: NetworkParams) -> float:
         return batch_loss(forward_batch(p, xs, cfg).probs, ys)
 
-    work = params.copy()
-    work.b_out = np.array([work.b_out])  # perturbed in place like the other blocks
-    grads = zeros_like_params(params)
-    grads.b_out = np.zeros(1)
-    for name in PARAM_FIELDS:
-        flat = getattr(work, name).reshape(-1)
-        gflat = getattr(grads, name).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_at(work)
-            flat[i] = orig - h
-            down = loss_at(work)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
-    grads.b_out = float(grads.b_out[0])
+    work, grads = params.copy(), NetworkParams(cfg)
+    flat = work.vector
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_at(work)
+        flat[i] = orig - h
+        down = loss_at(work)
+        flat[i] = orig
+        grads.vector[i] = (up - down) / (2.0 * h)
     return grads
 
 
 # Layout invariant: the conv GEMM yields (filters, batch*time_steps), so every
 # per-time-step array (conv_pre, the pool scatter target, d_conv_pre) lives in
 # (filters, batch, time) memory order and is exposed as a (batch, filters, time)
-# view. The g_b_conv reduction sums in memory order, so a copy into C-contiguous
+# view. The b_conv gradient sums in memory order, so a copy into C-contiguous
 # (batch, filters, time) order would change b_conv in its last bits.
 
 @dataclass
@@ -230,20 +223,21 @@ def forward_batch(params: NetworkParams, xs: np.ndarray, cfg: NetworkConfig) -> 
 def backward_batch(
     params: NetworkParams, cache: BatchCache, xs: np.ndarray, ys: np.ndarray, cfg: NetworkConfig
 ) -> NetworkParams:
-    """Gradients of the mean per-sample loss over the batch.
+    """Gradients of the mean per-sample loss over the batch, in a new parameter vector.
 
     xs must be the batch that built cache; its conv operand comes from the cache.
     """
     ys = np.asarray(ys, dtype=np.float64)
     batch = len(xs)
+    grads = NetworkParams(cfg, np.empty(cfg.n_params))  # every block is written below
 
     d_logits = (cache.probs - ys) / batch
-    g_w_out = cache.hidden_act.T @ d_logits
-    g_b_out = float(d_logits.sum())
+    np.matmul(cache.hidden_act.T, d_logits, out=grads.w_out)
+    d_logits.sum(out=grads.b_out)
 
     d_hidden_pre = np.outer(d_logits, params.w_out) * (cache.hidden_pre > 0.0)
-    g_w_hidden = d_hidden_pre.T @ cache.flat
-    g_b_hidden = d_hidden_pre.sum(axis=0)
+    np.matmul(d_hidden_pre.T, cache.flat, out=grads.w_hidden)
+    d_hidden_pre.sum(axis=0, out=grads.b_hidden)
 
     # Pool scatter as one bincount over (filters, batch, time) flat indices,
     # pooled step outermost: a time step in several windows sums in window order.
@@ -255,10 +249,9 @@ def backward_batch(
     ).reshape(cfg.filters, batch, cfg.time_steps)
     d_conv_pre *= cache.conv_pre.transpose(1, 0, 2) > 0.0
 
-    g_w_conv = d_conv_pre.reshape(cfg.filters, batch * cfg.time_steps) @ cache.operand.T
-    g_b_conv = d_conv_pre.sum(axis=(1, 2))
-
-    return NetworkParams(g_w_conv, g_b_conv, g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    np.matmul(d_conv_pre.reshape(cfg.filters, batch * cfg.time_steps), cache.operand.T, out=grads.w_conv)
+    d_conv_pre.sum(axis=(1, 2), out=grads.b_conv)
+    return grads
 
 
 def batch_loss(probs: np.ndarray, ys: np.ndarray) -> float:
@@ -269,9 +262,7 @@ def batch_loss(probs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def save_model(path, cfg: NetworkConfig, params: NetworkParams) -> None:
-    blob = bytearray()
-    blob += MODEL_MAGIC
-    blob += _HEADER.pack(
+    blob = MODEL_MAGIC + _HEADER.pack(
         MODEL_VERSION,
         cfg.freq_bins,
         cfg.time_steps,
@@ -280,13 +271,8 @@ def save_model(path, cfg: NetworkConfig, params: NetworkParams) -> None:
         cfg.pool_stride,
         cfg.pool_pad,
         cfg.hidden,
-    )
-    for name in PARAM_FIELDS:
-        value = getattr(params, name)
-        arr = np.atleast_1d(np.asarray(value, dtype="<f8"))
-        blob += arr.tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    Path(path).write_bytes(bytes(blob))
+    ) + np.asarray(params.vector, dtype="<f8").tobytes()
+    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_model(path) -> tuple[NetworkConfig, NetworkParams]:
@@ -309,19 +295,5 @@ def load_model(path) -> tuple[NetworkConfig, NetworkParams]:
     expected = pos + 8 * cfg.n_params + 4
     if len(raw) != expected:
         raise ValueError(f"{path}: {len(raw)} bytes, but its header describes a {expected}-byte model")
-    flat = np.frombuffer(raw, dtype="<f8", count=cfg.n_params, offset=pos)
-    blocks = []
-    for shape in ((nf, fb), (nf,), (nh, cfg.flat_size), (nh,), (nh,)):  # PARAM_FIELDS order, b_out last
-        count = math.prod(shape)
-        blocks.append(flat[:count].reshape(shape).copy())
-        flat = flat[count:]
-    return cfg, NetworkParams(*blocks, float(flat[0]))
-
-
-def map_params(fn, *param_sets: NetworkParams) -> NetworkParams:
-    """Apply fn elementwise across parallel parameter containers."""
-    out = {}
-    for name in PARAM_FIELDS:
-        out[name] = fn(*(getattr(p, name) for p in param_sets))
-    out["b_out"] = float(out["b_out"])
-    return NetworkParams(**out)
+    vector = np.frombuffer(raw, dtype="<f8", count=cfg.n_params, offset=pos).astype(np.float64)
+    return cfg, NetworkParams(cfg, vector)

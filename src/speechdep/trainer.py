@@ -1,7 +1,8 @@
 """Mini-batch training with Adadelta and a geometric learning-rate decay.
 
-Adadelta keeps running averages of squared gradients and squared updates.
-Per step, with decay rho and stabiliser eps:
+Adadelta keeps running averages of squared gradients and squared updates,
+as flat vectors laid out like NetworkParams.vector. Per step, with decay rho
+and stabiliser eps, in place on the params and state vectors:
 
     eg2   <- rho*eg2 + (1-rho)*g^2
     delta  = -g * sqrt(edx2 + eps) / sqrt(eg2 + eps)   (edx2 from the prior step)
@@ -17,9 +18,10 @@ cfg.seed alone, so each step normalizes its batch once and every machine, in
 seed order, takes its forward, backward and Adadelta step on that operand.
 Each machine does exactly the arithmetic it would do alone. All of the
 machines' params and Adadelta state (eg2, edx2) stay alive together, about
-3 x n_params x 8 B per machine (14.2 MB at the reference geometry). The CLI's
-`train --jobs N` splits the machines into at most N contiguous groups and
-trains each group this way in a worker of its own.
+3 x n_params x 8 B per machine (14.2 MB at the reference geometry). A step
+adds one gradient vector; the in-place update allocates no vector-sized
+temporary. The CLI's `train --jobs N` splits the machines into at most N
+contiguous groups and trains each group this way in a worker of its own.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .network import (
     batch_loss,
     forward_batch,
     init_params,
-    map_params,
-    zeros_like_params,
 )
+
+_STEP_CHUNK = 1 << 15  # values per slice of an Adadelta step: its temporaries stay small and in cache
 
 
 class TrainingDivergedError(RuntimeError):
@@ -66,16 +68,18 @@ class TrainConfig:
             raise ValueError("rho must be in [0, 1)")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
+        if not np.isfinite([self.lr_start, self.lr_end, self.eps]).all():
+            raise ValueError("lr_start, lr_end and eps must be finite")
 
 
 @dataclass
 class AdadeltaState:
-    eg2: NetworkParams
-    edx2: NetworkParams
+    eg2: np.ndarray  # running mean of squared gradients, laid out like params.vector
+    edx2: np.ndarray  # running mean of squared updates
 
     @classmethod
     def zeros(cls, params: NetworkParams) -> "AdadeltaState":
-        return cls(zeros_like_params(params), zeros_like_params(params))
+        return cls(np.zeros_like(params.vector), np.zeros_like(params.vector))
 
 
 @dataclass
@@ -98,18 +102,15 @@ def lr_schedule(cfg: TrainConfig, epoch: int) -> float:
 
 def adadelta_step(
     params: NetworkParams, grads: NetworkParams, state: AdadeltaState, lr: float, rho: float, eps: float
-) -> tuple[NetworkParams, AdadeltaState]:
-    """One functional Adadelta update; inputs are never mutated."""
-    eg2 = map_params(lambda e, g: rho * e + (1.0 - rho) * g * g, state.eg2, grads)
-    delta = map_params(
-        lambda g, e_new, d_old: -g * np.sqrt(d_old + eps) / np.sqrt(e_new + eps),
-        grads,
-        eg2,
-        state.edx2,
-    )
-    edx2 = map_params(lambda d_old, d: rho * d_old + (1.0 - rho) * d * d, state.edx2, delta)
-    new_params = map_params(lambda p, d: p + lr * d, params, delta)
-    return new_params, AdadeltaState(eg2, edx2)
+) -> None:
+    """One Adadelta update of params and state, in place; grads is only read."""
+    for lo in range(0, params.vector.size, _STEP_CHUNK):
+        chunk = slice(lo, lo + _STEP_CHUNK)
+        g, eg2, edx2 = grads.vector[chunk], state.eg2[chunk], state.edx2[chunk]
+        eg2[:] = rho * eg2 + (1.0 - rho) * g * g
+        delta = -g * np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps)
+        edx2[:] = rho * edx2 + (1.0 - rho) * delta * delta
+        params.vector[chunk] += lr * delta
 
 
 def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, features, batch_size: int = 256):
@@ -168,16 +169,16 @@ def train(
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             take = order[lo : lo + cfg.batch_size]
             bx, by = data.batch(take, operand), ys[take]
-            for m, seed in enumerate(seeds):
-                cache = forward_batch(all_params[m], bx, net_cfg)
+            for m, (seed, params, state) in enumerate(zip(seeds, all_params, states)):
+                cache = forward_batch(params, bx, net_cfg)
                 loss = batch_loss(cache.probs, by)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch {batch_index}, machine seed {seed}"
                     )
-                grads = backward_batch(all_params[m], cache, bx, by, net_cfg)
+                grads = backward_batch(params, cache, bx, by, net_cfg)
                 del cache  # free its per-step activations before the next forward
-                all_params[m], states[m] = adadelta_step(all_params[m], grads, states[m], lr, cfg.rho, cfg.eps)
+                adadelta_step(params, grads, state, lr, cfg.rho, cfg.eps)
                 del grads  # and its gradients, before the next machine's pass
                 epoch_losses[m] += loss * bx.shape[0]
 

@@ -29,14 +29,14 @@ from speechdep.evaluation import (
     prediction_set_for,
     speaker_labels,
 )
-from speechdep.features import StftConfig, featurize, hamming_window, read_feature_cache, stft
+from speechdep.features import FeatureSet, StftConfig, featurize_raw, hamming_window, read_feature_cache, stft
 from speechdep.network import (
     NetworkConfig,
+    NetworkParams,
     backward_batch,
     forward_batch,
     init_params,
     load_model,
-    map_params,
     numerical_gradient,
 )
 from speechdep.sampling import crop, plan_balanced
@@ -60,7 +60,7 @@ def test_criterion_01_feature_shape(capsys):
     clips = []
     synth_corpus(1, 12.0, seed=0, on_clip=lambda entry, clip: clips.append(clip))
     clip = trim_silence(clips[0], 0.1, -60.0)
-    feat = featurize(crop(clip, 4.0)[0], clip.sample_rate)
+    feat = FeatureSet.of([featurize_raw(crop(clip, 4.0)[0], clip.sample_rate)])[0]
     ok = feat.shape == (513, 125)
     _report(capsys, 1, "a 4 s crop at 16 kHz featurizes to 513x125", ok, f"shape={feat.shape}")
 
@@ -166,8 +166,9 @@ def test_criterion_03_dft_and_parseval(capsys):
 def test_criterion_04_adadelta_first_step(capsys):
     cfg = NetworkConfig(freq_bins=3, time_steps=4, filters=2, hidden=2)
     params = init_params(cfg, seed=0)
-    grads = map_params(lambda p: p * 0.0 + 1.0, params)
-    new_params, _ = adadelta_step(params, grads, AdadeltaState.zeros(params), lr=1.0, rho=0.95, eps=1e-6)
+    grads = NetworkParams(cfg, np.ones(cfg.n_params))
+    new_params = params.copy()
+    adadelta_step(new_params, grads, AdadeltaState.zeros(params), lr=1.0, rho=0.95, eps=1e-6)
     expected = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
     worst = 0.0
     for name in PARAM_FIELDS:

@@ -604,3 +604,20 @@ def test_non_finite_raw_record_is_one_train_error_line(tmp_path, capsys, jobs):
     assert line.endswith(f"non-finite loss at epoch 0, batch 0, machine seed {SEED}"), line
     if jobs == 1:
         assert not list(out.glob("model_*.sdm"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("key", ["synth.duration_s", "synth.sample_rate"])
+def test_bad_synth_value_is_one_error_line(tmp_path, capsys, key, value):
+    code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", f"{key}={value}")
+    unparsed = key == "synth.sample_rate" and value in ("nan", "inf")  # not an int
+    line = _assert_one_error_line(code, capsys, "config" if unparsed else "data")
+    assert key.partition(".")[2] in line, line
+    assert not (tmp_path / "c" / "manifest.csv").exists()
+
+
+def test_negative_pool_pad_is_one_config_error_line_before_training(small_cache, tmp_path, capsys):
+    argv = ["--cache", small_cache.good, "--out", tmp_path / "m", *_SMALL_RUN, "--set", "network.pool_pad=-1"]
+    code = _run("train", *argv)
+    assert "pool_pad" in _assert_one_error_line(code, capsys, "config")
+    assert not list((tmp_path / "m").glob("*"))

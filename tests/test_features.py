@@ -9,12 +9,10 @@ from speechdep.features import (
     FeatureSet,
     LogSpectrogram,
     StftConfig,
-    featurize,
     featurize_raw,
     hamming_window,
     log_magnitude,
     minmax_normalize,
-    normalize_feature,
     read_feature_cache,
     stft,
     write_feature_cache,
@@ -129,7 +127,7 @@ def test_minmax_normalize_range_and_constant():
 def test_normalization_happens_per_spectrogram():
     rng = np.random.default_rng(4)
     clip = AudioClip(rng.uniform(-0.8, 0.8, 8 * 16000), 16000, "s", 0)
-    feats = [featurize(c, clip.sample_rate) for c in crop(clip, 4.0)]
+    feats = list(FeatureSet.of([featurize_raw(c, clip.sample_rate) for c in crop(clip, 4.0)]))
     for f in feats:
         assert f.normalized
         assert f.values.min() == 0.0 and f.values.max() == 1.0
@@ -152,7 +150,7 @@ def test_feature_cache_round_trip_is_bitwise(tmp_path):
         assert (a.speaker_id, a.crop_index, a.label) == (b.speaker_id, b.crop_index, b.label)
 
     reloaded = read_feature_cache(path)
-    for a, b in zip((featurize(c, clip.sample_rate) for c in crops), reloaded):
+    for a, b in zip(FeatureSet.of([featurize_raw(c, clip.sample_rate) for c in crops]), reloaded):
         np.testing.assert_array_equal(a.values, b.values)
         assert b.normalized
 
@@ -162,7 +160,7 @@ def test_feature_cache_rejects_bad_inputs(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         write_feature_cache(path, [])
     good = LogSpectrogram(np.zeros((4, 4), dtype=np.float32), "s", 0, 0)
-    normalized = normalize_feature(good)
+    normalized = FeatureSet.of([good])[0]
     with pytest.raises(ValueError, match="pre-normalization"):
         write_feature_cache(path, [normalized])
     other = LogSpectrogram(np.zeros((4, 5), dtype=np.float32), "s", 1, 0)

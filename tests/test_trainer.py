@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from speechdep import trainer
-from speechdep.features import LogSpectrogram, normalize_feature, read_feature_cache, write_feature_cache
+from speechdep.features import FeatureSet, LogSpectrogram, read_feature_cache, write_feature_cache
 from speechdep.network import NetworkConfig, NetworkParams, forward_batch, init_params
 from speechdep.trainer import (
     AdadeltaState,
@@ -22,15 +22,12 @@ from speechdep.trainer import (
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
 
+_SCALAR_NET = NetworkConfig(freq_bins=1, time_steps=1, filters=1, pool_kernel=1, pool_stride=1, hidden=1)
+
+
 def _scalar_params(value=0.0):
-    return NetworkParams(
-        np.full((1, 1), value),
-        np.full(1, value),
-        np.full((1, 1), value),
-        np.full(1, value),
-        np.full(1, value),
-        float(value),
-    )
+    """One value per block."""
+    return NetworkParams(_SCALAR_NET, np.full(_SCALAR_NET.n_params, float(value)))
 
 
 def test_adadelta_first_step_closed_form():
@@ -38,14 +35,15 @@ def test_adadelta_first_step_closed_form():
     grads = _scalar_params(1.0)
     grads.b_out = 1.0
     state = AdadeltaState.zeros(params)
-    new_params, new_state = adadelta_step(params, grads, state, lr=1.0, rho=0.95, eps=1e-6)
+    adadelta_step(params, grads, state, lr=1.0, rho=0.95, eps=1e-6)
+    new_eg2, new_edx2 = NetworkParams(_SCALAR_NET, state.eg2), NetworkParams(_SCALAR_NET, state.edx2)
     expected_delta = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
     for name in PARAM_FIELDS:
-        value = np.asarray(getattr(new_params, name)).reshape(-1)[0]
+        value = np.asarray(getattr(params, name)).reshape(-1)[0]
         assert value == pytest.approx(expected_delta, abs=1e-12)
-        eg2 = np.asarray(getattr(new_state.eg2, name)).reshape(-1)[0]
+        eg2 = np.asarray(getattr(new_eg2, name)).reshape(-1)[0]
         assert eg2 == pytest.approx(0.05, abs=1e-15)
-        edx2 = np.asarray(getattr(new_state.edx2, name)).reshape(-1)[0]
+        edx2 = np.asarray(getattr(new_edx2, name)).reshape(-1)[0]
         assert edx2 == pytest.approx(0.05 * expected_delta**2, abs=1e-15)
 
 
@@ -67,18 +65,39 @@ def test_adadelta_matches_scalar_recurrence_over_steps():
     for g, want in zip(gs, expected):
         grads = _scalar_params(g)
         grads.b_out = g
-        params, state = adadelta_step(params, grads, state, lr=lr, rho=rho, eps=eps)
+        adadelta_step(params, grads, state, lr=lr, rho=rho, eps=eps)
         assert params.w_conv[0, 0] == pytest.approx(want, abs=1e-15)
         assert params.b_out == pytest.approx(want, abs=1e-15)
 
 
-def test_adadelta_is_functional():
-    params = _scalar_params(1.0)
-    grads = _scalar_params(1.0)
+def test_adadelta_step_is_in_place_and_allocates_no_vector():
+    net = NetworkConfig(freq_bins=257, time_steps=125, filters=64, hidden=128)  # 278,913 values
+    params = init_params(net, seed=4)
+    grads = NetworkParams(net, np.random.default_rng(4).normal(size=net.n_params))
     state = AdadeltaState.zeros(params)
-    adadelta_step(params, grads, state, lr=1.0, rho=0.95, eps=1e-6)
-    assert params.w_conv[0, 0] == 1.0
-    assert state.eg2.w_conv[0, 0] == 0.0
+    adadelta_step(params, grads, state, lr=1.0, rho=0.95, eps=1e-6)  # warm up, and leave the state non-zero
+    vectors = (params.vector, state.eg2, state.edx2)
+    before = [v.copy() for v in vectors]
+    tracemalloc.start()
+    try:
+        adadelta_step(params, grads, state, lr=1.0, rho=0.95, eps=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(now is held for now, held in zip((params.vector, state.eg2, state.edx2), vectors))
+    assert all(not np.array_equal(v, old) for v, old in zip(vectors, before))
+    assert peak < 8 * net.n_params, peak / (8 * net.n_params)
+
+
+def test_assigning_a_block_writes_into_the_vector():
+    params = _scalar_params(0.0)
+    vector = params.vector
+    params.b_out = 2.5
+    params.w_conv = [[1.5]]
+    assert vector.tolist() == [1.5, 0.0, 0.0, 0.0, 0.0, 2.5]
+    assert params.vector is vector and np.shares_memory(params.b_out, vector)
+    with pytest.raises(AttributeError):
+        params.b_outt = 1.0
 
 
 def test_lr_schedule_geometric_endpoints_and_ratio():
@@ -103,6 +122,9 @@ def test_train_config_validation():
         TrainConfig(rho=1.0)
     with pytest.raises(ValueError):
         TrainConfig(eps=0.0)
+    for bad in (dict(lr_start=math.inf), dict(lr_start=math.inf, lr_end=math.inf), dict(eps=math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**bad)
 
 
 def _toy_features(n_per_class, shape=(4, 6), seed=0, scale=1.0):
@@ -205,7 +227,7 @@ def test_raw_and_pre_normalized_features_train_the_same_params(tmp_path):
     path = tmp_path / "raw.lspg"
     write_feature_cache(path, raw)
     cfg = TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=6)
-    [expected], [hist] = train([normalize_feature(f) for f in raw], _toy_net(), cfg)
+    [expected], [hist] = train(list(FeatureSet.of(raw)), _toy_net(), cfg)
     for features in (raw, read_feature_cache(path), read_feature_cache(path, normalize=False)):
         [params], [again] = train(features, _toy_net(), cfg)
         _assert_same_params(params, expected)
