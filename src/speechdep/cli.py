@@ -423,7 +423,7 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
 # ------------------------------------------------------------- evaluate
 
 def _pool_predictions(cfg: RunConfig, models_dir: Path, cache_path: Path):
-    """Each model's thresholded prediction set on the cache, and every speaker's true label."""
+    """The pool's thresholded predictions on the cache, and every speaker's true label."""
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
     model_paths = sorted(models_dir.glob("model_*.sdm")) if models_dir.is_dir() else []
@@ -439,20 +439,20 @@ def _pool_predictions(cfg: RunConfig, models_dir: Path, cache_path: Path):
         if other_cfg != net_cfg:
             raise CliError("data", f"model {path} disagrees with the rest of the pool")
     truth = speaker_labels(features)
-    sets = prediction_set_for([params for _, params in loaded], net_cfg, features, cfg["ensemble.threshold"])
-    return sets, truth
+    preds = prediction_set_for([params for _, params in loaded], net_cfg, features, cfg["ensemble.threshold"])
+    return preds, truth
 
 
 def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     del jobs  # a handful of batched forward passes; parallelism buys nothing
-    sets, truth = _pool_predictions(cfg, models_dir, cache_path)
-    ens_cfg = cfg.ensemble_config(machines=len(sets))
-    fused = fuse(sets, ens_cfg)
+    preds, truth = _pool_predictions(cfg, models_dir, cache_path)
+    ens_cfg = cfg.ensemble_config(machines=preds.machines)
+    fused = fuse(preds, ens_cfg)
     report = metrics(confusion(truth, fused))
-    write_predictions_csv(out_dir / "predictions.csv", sets)
+    write_predictions_csv(out_dir / "predictions.csv", preds)
     write_metrics_csv(out_dir / "metrics.csv", [], report)
     return {
-        "machines": len(sets),
+        "machines": preds.machines,
         "method": ens_cfg.method,
         "accuracy": report.accuracy,
         "f1": {str(c): report.per_class[c].f1 for c in (0, 1)},
@@ -464,8 +464,8 @@ def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Pa
 # ---------------------------------------------------------------- curve
 
 def _curve_task(task):
-    sets, truth, m, n_combinations, method, threshold, seed = task
-    [point] = f1_vs_m_experiment(sets, truth, [m], n_combinations, method, threshold, seed)
+    preds, truth, m, n_combinations, method, threshold, seed = task
+    [point] = f1_vs_m_experiment(preds, truth, [m], n_combinations, method, threshold, seed)
     return method, point
 
 
@@ -485,14 +485,14 @@ def _parse_m_values(raw: str, pool_size: int) -> list[int]:
 
 
 def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
-    sets, truth = _pool_predictions(cfg, models_dir, cache_path)
+    preds, truth = _pool_predictions(cfg, models_dir, cache_path)
     threshold = cfg["ensemble.threshold"]
-    m_values = _parse_m_values(cfg["curve.m_values"], len(sets))
+    m_values = _parse_m_values(cfg["curve.m_values"], preds.machines)
     n_combinations = cfg["curve.n_combinations"]
     seed = cfg["seed"]
 
     tasks = [
-        (sets, truth, m, n_combinations, method, threshold, seed)
+        (preds, truth, m, n_combinations, method, threshold, seed)
         for method in (1, 2, 3)
         for m in m_values
     ]
@@ -521,7 +521,7 @@ def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path,
             fh.write(f"{method},{m},{cls},{format(mean, '.10g')},{format(std, '.10g')}\n")
     (out_dir / "curve.svg").write_text(_render_curve_svg(points, m_values))
     return {
-        "pool": len(sets),
+        "pool": preds.machines,
         "m_values": m_values,
         "n_combinations": n_combinations,
         "rows": len(rows),

@@ -174,8 +174,8 @@ def speaker_labels(features) -> dict[str, int]:
 
 def prediction_set_for(
     pool: list[NetworkParams], net_cfg: NetworkConfig, features, threshold: float = 0.5
-) -> list[PredictionSet]:
-    """One PredictionSet per machine of the pool; all of them share one crops dict."""
+) -> PredictionSet:
+    """The pool's predictions on features as one PredictionSet; machine m is row m."""
     data = FeatureSet.of(features, (net_cfg.freq_bins, net_cfg.time_steps))
     probs = predict_speaker_probs(pool, net_cfg, data)
     return PredictionSet.from_pool(data.speaker_ids, data.crop_indices, probs, threshold)
@@ -231,8 +231,7 @@ def cross_validate(
         fold_val = train_set.take(np.flatnonzero(in_val)) if held else None
         seeds = range(train_cfg.seed, train_cfg.seed + ens_cfg.machines)
         params_list, hist_list = train(fold_train, net_cfg, train_cfg, init_seeds=seeds, val_features=fold_val)
-        sets = prediction_set_for(params_list, net_cfg, test_set, ens_cfg.threshold)
-        fused = fuse(sets, ens_cfg)
+        fused = fuse(prediction_set_for(params_list, net_cfg, test_set, ens_cfg.threshold), ens_cfg)
         fold_reports.append(metrics(confusion(test_truth, fused)))
         fold_predictions.append(fused)
         histories.append(hist_list)

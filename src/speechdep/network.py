@@ -9,6 +9,9 @@ the steps that exist, which equals zero padding because the pooled input is
 post-ReLU non-negative. There is one pass: forward_batch and backward_batch
 over a (batch, freq_bins, time_steps) stack, scored by batch_loss, serve
 training, prediction and the gradient check alike. All math is float64.
+forward_batch computes only what prediction needs: the ReLU runs in place in
+the conv GEMM's buffer and pooling keeps the window maxima but not their
+argmax, which backward_batch derives from the cached activation and maxima.
 
 A model's parameters are one float64 vector of n_params values; NetworkParams
 names six views into it, the blocks w_conv, b_conv, w_hidden, b_hidden, w_out
@@ -34,6 +37,8 @@ MODEL_VERSION = 1
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
 _HEADER = struct.Struct("<HIIIIIII")  # version, then the seven config fields
+_HEADER_FIELDS = ("freq_bins", "time_steps", "filters", "pool_kernel", "pool_stride", "pool_pad", "hidden")
+_U32_MAX = 2**32 - 1
 
 
 @dataclass
@@ -55,6 +60,9 @@ class NetworkConfig:
             raise ValueError("pool kernel and stride must be >= 1")
         if self.pool_pad < 0:
             raise ValueError(f"pool_pad must be >= 0, got {self.pool_pad}")
+        for name in _HEADER_FIELDS:  # each is a u32 of the model file header
+            if getattr(self, name) > _U32_MAX:
+                raise ValueError(f"{name} must be <= {_U32_MAX}, got {getattr(self, name)}")
 
     @property
     def pooled_steps(self) -> int:
@@ -153,45 +161,55 @@ def numerical_gradient(
 
 
 # Layout invariant: the conv GEMM yields (filters, batch*time_steps), so every
-# per-time-step array (conv_pre, the pool scatter target, d_conv_pre) lives in
-# (filters, batch, time) memory order and is exposed as a (batch, filters, time)
-# view. The b_conv gradient sums in memory order, so a copy into C-contiguous
-# (batch, filters, time) order would change b_conv in its last bits.
+# per-time-step array (conv_act, the pool scatter target, d_conv_pre) and the
+# pooled maxima live in (filters, batch, time) memory order and are exposed as
+# (batch, filters, time) views. The b_conv gradient sums in memory order, so a
+# copy into C-contiguous (batch, filters, time) order would change b_conv in
+# its last bits.
 
 @dataclass
 class BatchCache:
     operand: np.ndarray  # (freq_bins, batch*time_steps): the conv GEMM input, reused by backward
-    conv_pre: np.ndarray  # (batch, filters, time_steps), (filters, batch, time) in memory
-    pool_values: np.ndarray  # (batch, filters, pooled_steps)
-    pool_argmax: np.ndarray
+    conv_act: np.ndarray  # (batch, filters, time_steps) post-ReLU, (filters, batch, time) in memory
+    pool_values: np.ndarray  # (batch, filters, pooled_steps), (filters, batch, pooled) in memory
     flat: np.ndarray  # (batch, flat_size)
     hidden_pre: np.ndarray  # (batch, hidden)
     hidden_act: np.ndarray
     probs: np.ndarray  # (batch,)
 
 
-def _pool_batch(act: np.ndarray, cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Max and first argmax of every pooling window of a (..., time_steps) stack.
-
-    One strided view per window offset; offset o holds the o-th element of
+def _pool_offsets(act: np.ndarray, cfg: NetworkConfig) -> list[np.ndarray]:
+    """One strided view per window offset; offset o holds the o-th element of
     every window that reaches that far. Windows that run past the end simply
     lack their last offsets, which for post-ReLU input equals zero padding.
     """
-    t_out, stride = cfg.pooled_steps, cfg.pool_stride
-    offsets = [act[..., o::stride] for o in range(min(cfg.pool_kernel, cfg.time_steps))]
-    values = offsets[0].copy()
-    for view in offsets[1:]:
+    return [act[..., o :: cfg.pool_stride] for o in range(min(cfg.pool_kernel, cfg.time_steps))]
+
+
+def _pool_max(act: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
+    """Max of every pooling window of a (..., time_steps) stack."""
+    first, *rest = _pool_offsets(act, cfg)
+    values = first.copy()
+    for view in rest:
         head = values[..., : view.shape[-1]]
         np.maximum(head, view, out=head)
-    # argmax = how many leading offsets fall short of the max (ties: first wins)
-    argmax = np.zeros(values.shape, dtype=np.int64)
+    return values
+
+
+def _pool_argmax(act: np.ndarray, values: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
+    """Time index of every window's max in act, given the maxima; ties: first wins.
+
+    A max's offset in its window is how many leading offsets fall short of
+    it. No window gets past its last offset without meeting its max, so that
+    offset is never compared, and the count fits the smallest unsigned type.
+    """
+    count = np.zeros(values.shape, dtype=np.min_scalar_type(cfg.pool_kernel))
     searching = np.ones(values.shape, dtype=bool)
-    for view in offsets:
+    for view in _pool_offsets(act, cfg)[:-1]:
         head = searching[..., : view.shape[-1]]
         head &= view < values[..., : view.shape[-1]]
-        argmax += searching
-    argmax += np.arange(0, t_out * stride, stride)
-    return values, argmax
+        count += searching
+    return count + np.arange(0, cfg.pooled_steps * cfg.pool_stride, cfg.pool_stride)
 
 
 def forward_batch(params: NetworkParams, xs: np.ndarray, cfg: NetworkConfig) -> BatchCache:
@@ -200,9 +218,10 @@ def forward_batch(params: NetworkParams, xs: np.ndarray, cfg: NetworkConfig) -> 
         raise ValueError(f"expected batch of {(cfg.freq_bins, cfg.time_steps)}, got {xs.shape}")
     batch = xs.shape[0]
     operand = xs.transpose(1, 0, 2).reshape(cfg.freq_bins, batch * cfg.time_steps)
-    conv_pre = (params.w_conv @ operand).reshape(cfg.filters, batch, cfg.time_steps)
-    conv_pre += params.b_conv[:, None, None]
-    values, argmax = _pool_batch(np.maximum(conv_pre, 0.0), cfg)
+    conv_act = (params.w_conv @ operand).reshape(cfg.filters, batch, cfg.time_steps)
+    conv_act += params.b_conv[:, None, None]
+    np.maximum(conv_act, 0.0, out=conv_act)
+    values = _pool_max(conv_act, cfg)
 
     flat = values.transpose(1, 0, 2).reshape(batch, cfg.flat_size)
     hidden_pre = flat @ params.w_hidden.T + params.b_hidden
@@ -210,9 +229,8 @@ def forward_batch(params: NetworkParams, xs: np.ndarray, cfg: NetworkConfig) -> 
     logits = hidden_act @ params.w_out + params.b_out
     return BatchCache(
         operand,
-        conv_pre.transpose(1, 0, 2),
-        flat.reshape(batch, cfg.filters, cfg.pooled_steps),
-        argmax.transpose(1, 0, 2),
+        conv_act.transpose(1, 0, 2),
+        values.transpose(1, 0, 2),
         flat,
         hidden_pre,
         hidden_act,
@@ -241,13 +259,17 @@ def backward_batch(
 
     # Pool scatter as one bincount over (filters, batch, time) flat indices,
     # pooled step outermost: a time step in several windows sums in window order.
-    d_pool = (d_hidden_pre @ params.w_hidden).reshape(cache.pool_values.shape)
+    act = cache.conv_act.transpose(1, 0, 2)  # (filters, batch, time) memory order
+    argmax = _pool_argmax(act, cache.pool_values.transpose(1, 0, 2), cfg)
     rows = np.arange(cfg.filters * batch).reshape(cfg.filters, batch) * cfg.time_steps
-    index = cache.pool_argmax.transpose(2, 1, 0) + rows
+    index = np.empty((cfg.pooled_steps, cfg.filters, batch), dtype=np.int64)  # C order: ravel is a view
+    np.add(argmax.transpose(2, 0, 1), rows, out=index)
+    del argmax  # freed before the scatter, the pass's memory peak
+    d_pool = (d_hidden_pre @ params.w_hidden).reshape(cache.pool_values.shape)
     d_conv_pre = np.bincount(
         index.ravel(), weights=d_pool.transpose(2, 1, 0).ravel(), minlength=rows.size * cfg.time_steps
     ).reshape(cfg.filters, batch, cfg.time_steps)
-    d_conv_pre *= cache.conv_pre.transpose(1, 0, 2) > 0.0
+    d_conv_pre *= act > 0.0  # the same mask as conv_pre > 0
 
     np.matmul(d_conv_pre.reshape(cfg.filters, batch * cfg.time_steps), cache.operand.T, out=grads.w_conv)
     d_conv_pre.sum(axis=(1, 2), out=grads.b_conv)
@@ -262,16 +284,8 @@ def batch_loss(probs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def save_model(path, cfg: NetworkConfig, params: NetworkParams) -> None:
-    blob = MODEL_MAGIC + _HEADER.pack(
-        MODEL_VERSION,
-        cfg.freq_bins,
-        cfg.time_steps,
-        cfg.filters,
-        cfg.pool_kernel,
-        cfg.pool_stride,
-        cfg.pool_pad,
-        cfg.hidden,
-    ) + np.asarray(params.vector, dtype="<f8").tobytes()
+    header = _HEADER.pack(MODEL_VERSION, *(getattr(cfg, name) for name in _HEADER_FIELDS))
+    blob = MODEL_MAGIC + header + np.asarray(params.vector, dtype="<f8").tobytes()
     Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
@@ -283,7 +297,7 @@ def load_model(path) -> tuple[NetworkConfig, NetworkParams]:
     if len(raw) < pos + 4:
         raise ValueError(f"{path}: {len(raw)} bytes cannot hold the {pos}-byte header and its CRC")
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(raw[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
         raise ValueError(f"{path}: CRC mismatch, file corrupt")
     version, fb, ts, nf, pk, ps, pp, nh = _HEADER.unpack_from(raw, len(MODEL_MAGIC))
     if version != MODEL_VERSION:

@@ -87,9 +87,10 @@ def _random_net(seed):
 
 def _kink_margin(params, x, cfg):
     """Distance of the forward pass from any ReLU kink or pooling argmax flip."""
-    cache = forward_batch(params, x[None], cfg)
-    margins = [np.min(np.abs(cache.conv_pre[0])), np.min(np.abs(cache.hidden_pre[0]))]
-    act = np.maximum(cache.conv_pre[0], 0.0)
+    conv_pre = params.w_conv @ x + params.b_conv[:, None]
+    hidden_pre = forward_batch(params, x[None], cfg).hidden_pre[0]
+    margins = [np.min(np.abs(conv_pre)), np.min(np.abs(hidden_pre))]
+    act = np.maximum(conv_pre, 0.0)
     for j in range(cfg.pooled_steps):
         lo = j * cfg.pool_stride
         window = np.asarray(list(act[:, lo : lo + cfg.pool_kernel].T))
@@ -255,8 +256,10 @@ class _StubRng:
         return self.value
 
 
-def _single_speaker_set(machine, probs):
-    return PredictionSet.from_samples(machine, ["spk"] * len(probs), range(len(probs)), probs)
+def _single_speaker_pool(prob_rows):
+    """One machine per row, every column a crop of speaker "spk"."""
+    n = len(prob_rows[0])
+    return PredictionSet.from_pool(["spk"] * n, range(n), prob_rows)
 
 
 def _oracle_method1(prob_rows):
@@ -277,14 +280,14 @@ def test_criterion_06_fusion_oracles(capsys):
         total = n_machines * n_samples
         for flat in itertools.product(grid, repeat=total):
             rows = [list(flat[m * n_samples : (m + 1) * n_samples]) for m in range(n_machines)]
-            sets = [_single_speaker_set(m, row) for m, row in enumerate(rows)]
+            sets = _single_speaker_pool(rows)
             assert fuse_method1(sets)["spk"] == _oracle_method1(rows), rows
             checked1 += 1
     rng = np.random.default_rng(6)
     for n_machines, n_samples in [(2, 3), (3, 2), (3, 3)]:  # grid too large to exhaust
         for _ in range(400):
             rows = (rng.integers(0, 11, size=(n_machines, n_samples)) / 10).tolist()
-            sets = [_single_speaker_set(m, row) for m, row in enumerate(rows)]
+            sets = _single_speaker_pool(rows)
             assert fuse_method1(sets)["spk"] == _oracle_method1(rows), rows
             checked1 += 1
 
@@ -295,10 +298,7 @@ def test_criterion_06_fusion_oracles(capsys):
                 rows = [
                     list(flat[m * n_samples : (m + 1) * n_samples]) for m in range(n_machines)
                 ]
-                sets = [
-                    _single_speaker_set(m, [0.8 if y else 0.2 for y in row])
-                    for m, row in enumerate(rows)
-                ]
+                sets = _single_speaker_pool([[0.8 if y else 0.2 for y in row] for row in rows])
                 for tie_value in (0, 1):
                     pooled = [y for row in rows for y in row]
                     assert fuse_method2(sets, _StubRng(tie_value))["spk"] == _oracle_majority(pooled, tie_value)
@@ -309,10 +309,10 @@ def test_criterion_06_fusion_oracles(capsys):
     identities = 0
     for n_samples in (1, 2, 3):  # single-machine reductions
         for flat in itertools.product((0, 1), repeat=n_samples):
-            ps = _single_speaker_set(0, [0.8 if y else 0.2 for y in flat])
+            ps = _single_speaker_pool([[0.8 if y else 0.2 for y in flat]])
             for tie_value in (0, 1):
-                m2 = fuse_method2([ps], _StubRng(tie_value))["spk"]
-                m3 = fuse_method3([ps], _StubRng(tie_value))["spk"]
+                m2 = fuse_method2(ps, _StubRng(tie_value))["spk"]
+                m3 = fuse_method3(ps, _StubRng(tie_value))["spk"]
                 assert m2 == m3 == _oracle_majority(list(flat), tie_value)
                 identities += 1
 
@@ -350,14 +350,14 @@ def reference_run(tmp_path_factory):
     ]) == 0
     features = read_feature_cache(feats / "test.lspg")
     loaded = [load_model(models / f"model_{m:03d}.sdm") for m in range(10)]
-    sets = prediction_set_for([params for _, params in loaded], loaded[0][0], features)
-    return SimpleNamespace(sets=sets, truth=speaker_labels(features))
+    preds = prediction_set_for([params for _, params in loaded], loaded[0][0], features)
+    return SimpleNamespace(preds=preds, truth=speaker_labels(features))
 
 
 def test_criterion_07_learnability(capsys, reference_run):
-    truth, sets = reference_run.truth, reference_run.sets
-    singles = [metrics(confusion(truth, fuse_method1([ps]))) for ps in sets]
-    ensemble = metrics(confusion(truth, fuse_method1(sets)))
+    truth, preds = reference_run.truth, reference_run.preds
+    singles = [metrics(confusion(truth, fuse_method1(preds, picks=[m]))) for m in range(preds.machines)]
+    ensemble = metrics(confusion(truth, fuse_method1(preds)))
     single = singles[0]
     mean_f1 = {c: float(np.mean([r.per_class[c].f1 for r in singles])) for c in (0, 1)}
     ok = (
@@ -376,7 +376,7 @@ def test_criterion_07_learnability(capsys, reference_run):
 
 def test_criterion_08_variance_reduction(capsys, reference_run):
     points = f1_vs_m_experiment(
-        reference_run.sets, reference_run.truth, [1, 10], 50, method=1, threshold=0.5, seed=11
+        reference_run.preds, reference_run.truth, [1, 10], 50, method=1, threshold=0.5, seed=11
     )
     by_m = {pt.m: pt for pt in points}
     ok = all(by_m[10].f1_std[c] <= by_m[1].f1_std[c] for c in (0, 1))

@@ -228,8 +228,8 @@ def test_evaluate_m1_equals_library_single_machine(pipe, tmp_path):
 
     features = read_feature_cache(pipe.feats / "test.lspg")
     net_cfg, params = load_model(solo / "model_000.sdm")
-    [ps] = prediction_set_for([params], net_cfg, features)
-    expected = metrics(confusion(speaker_labels(features), fuse_method1([ps])))
+    preds = prediction_set_for([params], net_cfg, features)
+    expected = metrics(confusion(speaker_labels(features), fuse_method1(preds)))
     summary = json.loads((out / "run_summary.json").read_text())["summary"]
     assert summary["machines"] == 1
     assert summary["accuracy"] == expected.accuracy
@@ -237,9 +237,9 @@ def test_evaluate_m1_equals_library_single_machine(pipe, tmp_path):
     assert summary["f1"]["1"] == expected.per_class[1].f1
 
     loaded = read_predictions_csv(out / "predictions.csv")
-    assert len(loaded) == 1
-    for s in ps.speakers:
-        np.testing.assert_allclose(loaded[0].probs[s], ps.probs[s])
+    assert loaded.machines == 1
+    assert loaded.speakers == preds.speakers
+    np.testing.assert_allclose(loaded.probs, preds.probs)
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "scope,class,accuracy,precision,recall,f1"
     assert {line.split(",")[0] for line in lines[1:]} == {"pooled"}
@@ -620,4 +620,12 @@ def test_negative_pool_pad_is_one_config_error_line_before_training(small_cache,
     argv = ["--cache", small_cache.good, "--out", tmp_path / "m", *_SMALL_RUN, "--set", "network.pool_pad=-1"]
     code = _run("train", *argv)
     assert "pool_pad" in _assert_one_error_line(code, capsys, "config")
+    assert not list((tmp_path / "m").glob("*"))
+
+
+@pytest.mark.parametrize("key", ["network.pool_pad", "network.hidden", "network.filters"])
+def test_config_past_the_model_header_is_one_config_error_line_before_training(small_cache, tmp_path, capsys, key):
+    argv = ["--cache", small_cache.good, "--out", tmp_path / "m", *_SMALL_RUN, "--set", f"{key}=4294967296"]
+    code = _run("train", *argv)
+    assert key.partition(".")[2] in _assert_one_error_line(code, capsys, "config")
     assert not list((tmp_path / "m").glob("*"))

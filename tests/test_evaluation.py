@@ -14,8 +14,9 @@ from speechdep.evaluation import (
     speaker_labels,
     write_metrics_csv,
 )
-from speechdep.features import LogSpectrogram
-from speechdep.network import NetworkConfig, forward_batch, init_params
+from speechdep import network
+from speechdep.features import FeatureSet, LogSpectrogram
+from speechdep.network import NetworkConfig, backward_batch, forward_batch, init_params
 from speechdep.trainer import TrainConfig
 
 
@@ -165,10 +166,10 @@ def test_prediction_set_groups_by_speaker():
     net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
     params = init_params(net, 3)
     feats = _toy_features({"a": 0, "b": 1}, crops_per_speaker=2)
-    [ps] = prediction_set_for([params], net, feats)
-    assert ps.machine == 0
-    assert ps.speakers == ["a", "b"]
-    assert ps.probs["a"].size == 2
+    preds = prediction_set_for([params], net, feats)
+    assert preds.machines == 1
+    assert preds.speakers == ["a", "b"]
+    assert preds.sizes[0] == 2
 
 
 def _per_machine_probs(params, net, features, batch_size):
@@ -209,18 +210,31 @@ def test_pool_prediction_is_bitwise_the_per_machine_path(monkeypatch):
         assert chunk == 0 or not np.shares_memory(first, operands[3 * chunk - 1])
 
 
-def test_prediction_sets_share_one_crops_dict():
+def test_prediction_set_rows_are_machines_in_speaker_order():
     net = _toy_net()
     pool = [init_params(net, seed) for seed in (1, 2)]
     feats = _toy_features({"b": 1, "a": 0}, crops_per_speaker=3)
-    sets = prediction_set_for(pool, net, feats, threshold=0.5)
-    assert [ps.machine for ps in sets] == [0, 1]
-    assert sets[0].crops is sets[1].crops
+    preds = prediction_set_for(pool, net, feats, threshold=0.5)
+    assert preds.machines == 2 and preds.speakers == ["a", "b"]
     probs = predict_speaker_probs(pool, net, feats)
-    for m, ps in enumerate(sets):
-        assert np.array_equal(ps.probs["b"], probs[m, :3]) and np.array_equal(ps.probs["a"], probs[m, 3:])
-        assert np.array_equal(ps.labels["a"], (probs[m, 3:] >= 0.5).astype(np.int64))
-    assert np.array_equal(sets[0].crops["a"], [0, 1, 2])
+    for m in range(2):
+        assert np.array_equal(preds.probs[m, 3:], probs[m, :3]) and np.array_equal(preds.probs[m, :3], probs[m, 3:])
+        assert np.array_equal(preds.labels[m, :3], (probs[m, 3:] >= 0.5).astype(np.int64))
+    assert np.array_equal(preds.crop_indices[:3], [0, 1, 2])
+
+
+def test_prediction_computes_no_pool_argmax(monkeypatch):
+    net = _toy_net()
+    pool = [init_params(net, seed) for seed in (1, 2)]
+    feats = _toy_features({"a": 0, "b": 1}, crops_per_speaker=3)
+    calls = []
+    argmax = network._pool_argmax
+    monkeypatch.setattr(network, "_pool_argmax", lambda *args: calls.append(1) or argmax(*args))
+    predict_speaker_probs(pool, net, feats)
+    assert calls == []
+    xs = FeatureSet.of(feats).batch(range(2))
+    backward_batch(pool[0], forward_batch(pool[0], xs, net), xs, [0, 1], net)
+    assert calls == [1]  # the spy sees backward's argmax
 
 
 def test_predict_rejects_features_of_another_shape():

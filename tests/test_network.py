@@ -12,7 +12,8 @@ from speechdep.network import (
     numerical_gradient,
     save_model,
 )
-from speechdep.network import _pool_batch, _sigmoid  # the oracle scores logits with the network's own sigmoid
+from speechdep import network
+from speechdep.network import _pool_argmax, _pool_max, _sigmoid  # the oracle scores logits with the network's own sigmoid
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
@@ -39,9 +40,10 @@ def _random_instance(seed):
 
 def _kink_margin(params, x, cfg):
     """Distance of the forward pass from any ReLU kink or pooling argmax flip."""
-    cache = forward_batch(params, x[None], cfg)
-    margins = [np.min(np.abs(cache.conv_pre[0])), np.min(np.abs(cache.hidden_pre[0]))]
-    act = np.maximum(cache.conv_pre[0], 0.0)
+    conv_pre = params.w_conv @ x + params.b_conv[:, None]
+    hidden_pre = forward_batch(params, x[None], cfg).hidden_pre[0]
+    margins = [np.min(np.abs(conv_pre)), np.min(np.abs(hidden_pre))]
+    act = np.maximum(conv_pre, 0.0)
     for j in range(cfg.pooled_steps):
         lo = j * cfg.pool_stride
         window = list(act[:, lo : lo + cfg.pool_kernel].T)
@@ -102,21 +104,26 @@ def _pool_cfg(act, kernel, stride):
 
 def test_maxpool_hand_case():
     row = np.array([[1.0, 3.0, 2.0, 0.0, 5.0, 4.0]])
-    values, argmax = _pool_batch(row, _pool_cfg(row, kernel=3, stride=2))
+    cfg = _pool_cfg(row, kernel=3, stride=2)
+    values = _pool_max(row, cfg)
+    argmax = _pool_argmax(row, values, cfg)
     np.testing.assert_array_equal(values, [[3.0, 5.0, 5.0]])
     np.testing.assert_array_equal(argmax, [[1, 4, 4]])
 
 
 def test_maxpool_tie_takes_smallest_index():
     row = np.array([[5.0, 5.0, 1.0]])
-    _, argmax = _pool_batch(row, _pool_cfg(row, kernel=3, stride=3))
+    cfg = _pool_cfg(row, kernel=3, stride=3)
+    argmax = _pool_argmax(row, _pool_max(row, cfg), cfg)
     assert argmax[0, 0] == 0
 
 
 def test_maxpool_kernel_one_is_strided_copy():
     rng = np.random.default_rng(7)
     act = rng.uniform(size=(3, 9))
-    values, argmax = _pool_batch(act, _pool_cfg(act, kernel=1, stride=2))
+    cfg = _pool_cfg(act, kernel=1, stride=2)
+    values = _pool_max(act, cfg)
+    argmax = _pool_argmax(act, values, cfg)
     np.testing.assert_array_equal(values, act[:, ::2])
     np.testing.assert_array_equal(argmax, np.tile(np.arange(0, 9, 2), (3, 1)))
 
@@ -230,6 +237,11 @@ def test_network_config_validation():
         NetworkConfig(freq_bins=5, time_steps=5, pool_stride=0)
     with pytest.raises(ValueError, match="pool_pad"):
         NetworkConfig(freq_bins=5, time_steps=5, pool_pad=-1)
+    fields = ("freq_bins", "time_steps", "filters", "pool_kernel", "pool_stride", "pool_pad", "hidden")
+    for name in fields:  # each field is a u32 of the model file header
+        with pytest.raises(ValueError, match=f"{name} must be <= 4294967295"):
+            NetworkConfig(**{"freq_bins": 5, "time_steps": 5, name: 2**32})
+    NetworkConfig(freq_bins=5, time_steps=5, pool_pad=2**32 - 1)  # the largest u32 fits
     cfg = NetworkConfig(freq_bins=5, time_steps=5)
     assert cfg.pool_pad == cfg.pool_stride  # defaulted
 
@@ -260,7 +272,7 @@ def _oracle_forward_batch(params, xs, cfg):
     hidden_act = np.maximum(hidden_pre, 0.0)
     logits = hidden_act @ params.w_out + params.b_out
     return dict(
-        operand=x2, conv_pre=conv_pre, pool_values=pool_values, pool_argmax=pool_argmax,
+        operand=x2, conv_pre=conv_pre, conv_act=conv_act, pool_values=pool_values, pool_argmax=pool_argmax,
         flat=flat, hidden_pre=hidden_pre, hidden_act=hidden_act, probs=_sigmoid(logits),
     )
 
@@ -285,9 +297,7 @@ def _oracle_backward_batch(params, cache, xs, ys, cfg):
     return dict(zip(PARAM_FIELDS, (g_w_conv, g_b_conv, g_w_hidden, g_b_hidden, g_w_out, g_b_out)))
 
 
-BATCH_CACHE_FIELDS = (
-    "operand", "conv_pre", "pool_values", "pool_argmax", "flat", "hidden_pre", "hidden_act", "probs"
-)
+BATCH_CACHE_FIELDS = ("operand", "conv_act", "pool_values", "flat", "hidden_pre", "hidden_act", "probs")
 
 POOL_GEOMETRIES = {
     "reference 5/4": dict(time_steps=33, pool_kernel=5, pool_stride=4),
@@ -300,14 +310,30 @@ POOL_GEOMETRIES = {
 }
 
 
-def _assert_batch_matches_oracle(params, xs, ys, cfg):
+def _argmax_spy(monkeypatch):
+    """Route network._pool_argmax through a wrapper that keeps every result it returns."""
+    results = []
+
+    def spy(act, values, cfg):
+        results.append(_pool_argmax(act, values, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(network, "_pool_argmax", spy)
+    return results
+
+
+def _assert_batch_matches_oracle(params, xs, ys, cfg, monkeypatch):
     cache = forward_batch(params, xs, cfg)
     oracle = _oracle_forward_batch(params, xs, cfg)
     for name in BATCH_CACHE_FIELDS:
         got, want = getattr(cache, name), oracle[name]
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+    argmaxes = _argmax_spy(monkeypatch)
     grads = backward_batch(params, cache, xs, ys, cfg)
+    monkeypatch.undo()
+    [argmax] = argmaxes  # backward's, in (filters, batch, pooled) order
+    assert np.array_equal(argmax.transpose(1, 0, 2), oracle["pool_argmax"])
     want = _oracle_backward_batch(params, oracle, xs, ys, cfg)
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(grads, name), want[name]), name
@@ -328,17 +354,17 @@ def _tie_heavy_instance(cfg, batch, seed):
 
 
 @pytest.mark.parametrize("geometry", sorted(POOL_GEOMETRIES))
-def test_batched_path_is_bitwise_equal_to_loop_oracle(geometry):
+def test_batched_path_is_bitwise_equal_to_loop_oracle(geometry, monkeypatch):
     cfg = NetworkConfig(freq_bins=19, filters=7, hidden=6, **POOL_GEOMETRIES[geometry])
     params, xs, ys = _tie_heavy_instance(cfg, batch=11, seed=len(geometry))
     cache = forward_batch(params, xs, cfg)
     assert (cache.pool_values == 0.0).any()  # all-zero windows are exercised
     for _ in range(3):  # a few Adadelta steps, re-checked from each new point
-        grads = _assert_batch_matches_oracle(params, xs, ys, cfg)
+        grads = _assert_batch_matches_oracle(params, xs, ys, cfg, monkeypatch)
         params = NetworkParams(cfg, params.vector - 0.5 * grads.vector)
 
 
-def test_batched_path_is_bitwise_equal_to_loop_oracle_at_reference_geometry():
+def test_batched_path_is_bitwise_equal_to_loop_oracle_at_reference_geometry(monkeypatch):
     cfg = NetworkConfig(freq_bins=513, time_steps=125)
     params, xs, ys = _tie_heavy_instance(cfg, batch=6, seed=3)
-    _assert_batch_matches_oracle(params, xs, ys, cfg)
+    _assert_batch_matches_oracle(params, xs, ys, cfg, monkeypatch)
