@@ -250,15 +250,10 @@ def _crop_count(entry_path: Path, cfg_values: dict) -> tuple[int, int]:
 
 def _featurize_speaker(task) -> tuple[str, list]:
     """Worker: features for the wanted crop indices of one speaker's clip."""
-    path, speaker_id, label, wanted, cfg_values = task
+    path, speaker_id, label, wanted, cfg_values, stft_cfg = task
     clip = load_wav(path)
     clip.speaker_id, clip.label = speaker_id, label
     clip = trim_silence(clip, cfg_values["trim.frame_s"], cfg_values["trim.floor_db"])
-    stft_cfg = StftConfig(
-        window_s=cfg_values["stft.window_s"],
-        hop_s=cfg_values["stft.hop_s"],
-        n_fft=cfg_values["stft.n_fft"],
-    )
     wanted = set(wanted)
     feats = [
         featurize_raw(c, clip.sample_rate, stft_cfg)  # the cache normalizes on read
@@ -268,13 +263,13 @@ def _featurize_speaker(task) -> tuple[str, list]:
     return speaker_id, feats
 
 
-def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, jobs: int):
+def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, stft_cfg: StftConfig, jobs: int):
     """Features for (speaker, crop_index) keys, returned in the given order."""
     wanted: dict[str, set[int]] = {}
     for speaker_id, crop_index in ordered_keys:
         wanted.setdefault(speaker_id, set()).add(crop_index)
     tasks = [
-        (str(manifest_dir / e.path), e.speaker_id, e.label, sorted(wanted[e.speaker_id]), cfg.values)
+        (str(manifest_dir / e.path), e.speaker_id, e.label, sorted(wanted[e.speaker_id]), cfg.values, stft_cfg)
         for e in entries
         if e.speaker_id in wanted
     ]
@@ -288,6 +283,7 @@ def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, 
 
 
 def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int) -> dict:
+    stft_cfg = cfg.stft_config()
     if not manifest_path.is_file():
         raise CliError("io", f"manifest not found: {manifest_path}")
     manifest = load_manifest(manifest_path)
@@ -339,7 +335,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
         )
     ]
 
-    train_features = _featurize_split(train_entries, manifest_dir, train_order, cfg, jobs)
+    train_features = _featurize_split(train_entries, manifest_dir, train_order, cfg, stft_cfg, jobs)
     write_feature_cache(out_dir / "train.lspg", train_features)
     summary = {
         "train_cache": "train.lspg",
@@ -353,7 +349,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
     }
     del train_features  # written; free it before the test features are made
     if test_entries:
-        test_features = _featurize_split(test_entries, manifest_dir, test_order, cfg, jobs)
+        test_features = _featurize_split(test_entries, manifest_dir, test_order, cfg, stft_cfg, jobs)
         write_feature_cache(out_dir / "test.lspg", test_features)
         summary["test_cache"] = "test.lspg"
         summary["test_crops"] = len(test_features)
@@ -403,7 +399,7 @@ def _train_group(task, features: FeatureSet | None = None) -> list[tuple[str, fl
 def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
-    machines = cfg["ensemble.machines"]
+    machines = cfg.ensemble_config().machines  # a bad ensemble key fails before the cache is read
     if jobs > 1:
         # at most `jobs` contiguous groups, sizes differing by at most one
         groups = [g for g in np.array_split(np.arange(machines), jobs) if g.size]
@@ -422,13 +418,18 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
 
 # ------------------------------------------------------------- evaluate
 
-def _pool_predictions(cfg: RunConfig, models_dir: Path, cache_path: Path):
-    """The pool's thresholded predictions on the cache, and every speaker's true label."""
+def _model_paths(models_dir: Path, cache_path: Path) -> list[Path]:
+    """The pool's model files, once both inputs are known to exist; nothing is read yet."""
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
     model_paths = sorted(models_dir.glob("model_*.sdm")) if models_dir.is_dir() else []
     if not model_paths:
         raise CliError("io", f"no model files (model_*.sdm) under {models_dir}")
+    return model_paths
+
+
+def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: float):
+    """The pool's thresholded predictions on the cache, and every speaker's true label."""
     features = _read_cache(cache_path)
     loaded = [load_model(p) for p in model_paths]
     net_cfg = loaded[0][0]
@@ -439,14 +440,15 @@ def _pool_predictions(cfg: RunConfig, models_dir: Path, cache_path: Path):
         if other_cfg != net_cfg:
             raise CliError("data", f"model {path} disagrees with the rest of the pool")
     truth = speaker_labels(features)
-    preds = prediction_set_for([params for _, params in loaded], net_cfg, features, cfg["ensemble.threshold"])
+    preds = prediction_set_for([params for _, params in loaded], net_cfg, features, threshold)
     return preds, truth
 
 
 def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     del jobs  # a handful of batched forward passes; parallelism buys nothing
-    preds, truth = _pool_predictions(cfg, models_dir, cache_path)
-    ens_cfg = cfg.ensemble_config(machines=preds.machines)
+    model_paths = _model_paths(models_dir, cache_path)
+    ens_cfg = cfg.ensemble_config(machines=len(model_paths))
+    preds, truth = _pool_predictions(model_paths, cache_path, ens_cfg.threshold)
     fused = fuse(preds, ens_cfg)
     report = metrics(confusion(truth, fused))
     write_predictions_csv(out_dir / "predictions.csv", preds)
@@ -485,10 +487,13 @@ def _parse_m_values(raw: str, pool_size: int) -> list[int]:
 
 
 def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
-    preds, truth = _pool_predictions(cfg, models_dir, cache_path)
-    threshold = cfg["ensemble.threshold"]
-    m_values = _parse_m_values(cfg["curve.m_values"], preds.machines)
+    model_paths = _model_paths(models_dir, cache_path)
+    threshold = cfg.ensemble_config(machines=len(model_paths)).threshold
+    m_values = _parse_m_values(cfg["curve.m_values"], len(model_paths))
     n_combinations = cfg["curve.n_combinations"]
+    if n_combinations < 1:
+        raise CliError("config", f"curve.n_combinations must be >= 1, got {n_combinations}")
+    preds, truth = _pool_predictions(model_paths, cache_path, threshold)
     seed = cfg["seed"]
 
     tasks = [

@@ -143,7 +143,7 @@ def kfold_split(labels, k: int, seed: int = 0) -> FoldPlan:
 
 
 def predict_speaker_probs(
-    pool: list[NetworkParams], net_cfg: NetworkConfig, features, batch_size: int = 256
+    pool: list[NetworkParams], net_cfg: NetworkConfig, features: FeatureSet, batch_size: int = 256
 ) -> np.ndarray:
     """Class-1 probabilities of every machine: (machines, crops), crops in feature order.
 
@@ -152,20 +152,18 @@ def predict_speaker_probs(
     time_steps) view, so forward_batch's own operand is that same buffer
     rather than a copy.
     """
-    data = FeatureSet.of(features, (net_cfg.freq_bins, net_cfg.time_steps))
-    probs = np.empty((len(pool), len(data)))
-    for lo in range(0, len(data), batch_size):
-        xs = data.batch(range(lo, min(lo + batch_size, len(data))))
+    probs = np.empty((len(pool), len(features)))
+    for lo in range(0, len(features), batch_size):
+        xs = features.batch(range(lo, min(lo + batch_size, len(features))))
         for m, params in enumerate(pool):
             probs[m, lo : lo + len(xs)] = forward_batch(params, xs, net_cfg).probs
         del xs  # free this batch's operand before the next one is allocated
     return probs
 
 
-def speaker_labels(features) -> dict[str, int]:
-    data = FeatureSet.of(features)
+def speaker_labels(features: FeatureSet) -> dict[str, int]:
     out: dict[str, int] = {}
-    for speaker_id, label in zip(data.speaker_ids, data.labels):
+    for speaker_id, label in zip(features.speaker_ids, features.labels):
         prior = out.setdefault(speaker_id, label)
         if prior != label:
             raise ValueError(f"speaker {speaker_id} carries conflicting labels")
@@ -173,12 +171,11 @@ def speaker_labels(features) -> dict[str, int]:
 
 
 def prediction_set_for(
-    pool: list[NetworkParams], net_cfg: NetworkConfig, features, threshold: float = 0.5
+    pool: list[NetworkParams], net_cfg: NetworkConfig, features: FeatureSet, threshold: float = 0.5
 ) -> PredictionSet:
     """The pool's predictions on features as one PredictionSet; machine m is row m."""
-    data = FeatureSet.of(features, (net_cfg.freq_bins, net_cfg.time_steps))
-    probs = predict_speaker_probs(pool, net_cfg, data)
-    return PredictionSet.from_pool(data.speaker_ids, data.crop_indices, probs, threshold)
+    probs = predict_speaker_probs(pool, net_cfg, features)
+    return PredictionSet.from_pool(features.speaker_ids, features.crop_indices, probs, threshold)
 
 
 @dataclass
@@ -191,8 +188,8 @@ class CrossValResult:
 
 
 def cross_validate(
-    train_features,
-    test_features,
+    train_features: FeatureSet,
+    test_features: FeatureSet,
     net_cfg: NetworkConfig,
     train_cfg: TrainConfig,
     ens_cfg: EnsembleConfig,
@@ -208,10 +205,8 @@ def cross_validate(
     """
     if not train_features or not test_features:
         raise ValueError("need non-empty train and test feature sets")
-    train_set = FeatureSet.of(train_features)
-    test_set = FeatureSet.of(test_features)
-    train_labels = speaker_labels(train_set)
-    test_truth = speaker_labels(test_set)
+    train_labels = speaker_labels(train_features)
+    test_truth = speaker_labels(test_features)
 
     if k == 1:
         val_sets: list[list[str]] = [[]]
@@ -226,12 +221,12 @@ def cross_validate(
 
     for fold, held_out in enumerate(val_sets):
         held = set(held_out)
-        in_val = np.array([s in held for s in train_set.speaker_ids], dtype=bool)
-        fold_train = train_set.take(np.flatnonzero(~in_val))
-        fold_val = train_set.take(np.flatnonzero(in_val)) if held else None
+        in_val = np.array([s in held for s in train_features.speaker_ids], dtype=bool)
+        fold_train = train_features.take(np.flatnonzero(~in_val))
+        fold_val = train_features.take(np.flatnonzero(in_val)) if held else None
         seeds = range(train_cfg.seed, train_cfg.seed + ens_cfg.machines)
         params_list, hist_list = train(fold_train, net_cfg, train_cfg, init_seeds=seeds, val_features=fold_val)
-        fused = fuse(prediction_set_for(params_list, net_cfg, test_set, ens_cfg.threshold), ens_cfg)
+        fused = fuse(prediction_set_for(params_list, net_cfg, test_features, ens_cfg.threshold), ens_cfg)
         fold_reports.append(metrics(confusion(test_truth, fused)))
         fold_predictions.append(fused)
         histories.append(hist_list)

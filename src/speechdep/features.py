@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,9 @@ class StftConfig:
     window_kind: str = "hamming"
 
     def __post_init__(self):
-        if self.hop_s <= 0:
-            raise ValueError(f"hop_s must be positive, got {self.hop_s}")
+        for name, value in (("window_s", self.window_s), ("hop_s", self.hop_s)):
+            if not 0.0 < value < np.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.window_kind != "hamming":
             raise ValueError(f"unsupported window kind {self.window_kind!r}")
 
@@ -55,7 +56,7 @@ class StftConfig:
 
 @dataclass
 class LogSpectrogram:
-    """Frequency x time matrix of (optionally normalized) log-magnitudes."""
+    """Frequency x time matrix of log-magnitudes; normalized marks a record indexed out of a normalized FeatureSet."""
 
     values: np.ndarray
     speaker_id: str
@@ -127,7 +128,7 @@ def featurize_raw(crop: SampleCrop, sample_rate: int, cfg: StftConfig | None = N
     """Pre-normalization log-spectrogram in float32, as stored by the cache."""
     cfg = cfg or StftConfig()
     values = log_magnitude(stft(crop.samples, sample_rate, cfg)).astype(np.float32)
-    return LogSpectrogram(values, crop.speaker_id, crop.crop_index, crop.label, normalized=False)
+    return LogSpectrogram(values, crop.speaker_id, crop.crop_index, crop.label)
 
 
 def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
@@ -165,41 +166,22 @@ class FeatureSet(Sequence):
     """Records of one shape, held as one (N, freq_bins, time_steps) block.
 
     The network input of record i is (float64(block[i]) - lo[i]) / span[i],
-    minmax_normalize's arithmetic; span 0.0 marks a constant record, which
-    maps to zeros. A record already flagged normalized has lo 0.0 and span
-    1.0, an exact identity. Indexing yields LogSpectrogram records: float64
-    normalized copies, or views of the block when normalized is False.
+    minmax_normalize's arithmetic, with lo and span taken from the block when
+    the set is built; span 0.0 marks a constant record, which maps to zeros.
+    Indexing yields LogSpectrogram records: float64 normalized copies, or
+    views of the block when normalized is False.
     """
 
     block: np.ndarray
     speaker_ids: list[str]
     crop_indices: list[int]
     labels: list[int]
-    lo: np.ndarray
-    span: np.ndarray
     normalized: bool = True
+    lo: np.ndarray = field(init=False, repr=False)
+    span: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def of(cls, features, shape=None) -> "FeatureSet":
-        """features as a FeatureSet, stacking a LogSpectrogram list; every record must have `shape`."""
-        shapes = {features.record_shape} if isinstance(features, cls) else {f.shape for f in features}
-        shape = tuple(shape or min(shapes, default=(0, 0)))
-        if shapes - {shape}:
-            raise ValueError(f"feature shape {min(shapes - {shape})} does not fit model {shape}")
-        if isinstance(features, cls):
-            return features
-        block = np.stack([f.values for f in features]) if features else np.empty((0, *shape))
-        lo, span = _minmax_terms(block)
-        done = np.array([f.normalized for f in features], dtype=bool)
-        lo[done], span[done] = 0.0, 1.0
-        return cls(
-            block,
-            [f.speaker_id for f in features],
-            [f.crop_index for f in features],
-            [f.label for f in features],
-            lo,
-            span,
-        )
+    def __post_init__(self):
+        self.lo, self.span = _minmax_terms(self.block)
 
     def __len__(self) -> int:
         return self.block.shape[0]
@@ -223,8 +205,6 @@ class FeatureSet(Sequence):
             [self.speaker_ids[i] for i in rows],
             [self.crop_indices[i] for i in rows],
             [self.labels[i] for i in rows],
-            self.lo[rows],
-            self.span[rows],
             self.normalized,
         )
 
@@ -287,4 +267,4 @@ def read_feature_cache(path, normalize: bool = True) -> FeatureSet:
             labels.append(label)
     if pos != size:
         raise ValueError(f"{path}: {size - pos} trailing bytes")
-    return FeatureSet(block, speaker_ids, crop_indices, labels, *_minmax_terms(block), normalized=normalize)
+    return FeatureSet(block, speaker_ids, crop_indices, labels, normalized=normalize)

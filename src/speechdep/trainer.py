@@ -113,34 +113,29 @@ def adadelta_step(
         params.vector[chunk] += lr * delta
 
 
-def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, features, batch_size: int = 256):
-    """(mean BCE, accuracy at threshold 0.5) over a feature set."""
-    data = FeatureSet.of(features, (cfg.freq_bins, cfg.time_steps))
-    ys = np.asarray(data.labels, dtype=np.float64)
-    losses = []
-    correct = 0
-    n = len(data)
-    for lo in range(0, n, batch_size):
-        chunk_x = data.batch(range(lo, min(lo + batch_size, n)))
-        chunk_y = ys[lo : lo + batch_size]
-        probs = forward_batch(params, chunk_x, cfg).probs
-        losses.append(batch_loss(probs, chunk_y) * chunk_x.shape[0])
-        correct += int(np.sum((probs >= 0.5).astype(np.int64) == chunk_y.astype(np.int64)))
-    return sum(losses) / n, correct / n
+def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, features: FeatureSet, batch_size: int = 256):
+    """(mean BCE, accuracy at threshold 0.5) over a feature set; the BCE weighs each batch's mean by its size."""
+    from .evaluation import predict_speaker_probs  # deferred: evaluation imports this module
+
+    probs = predict_speaker_probs([params], cfg, features, batch_size)[0]
+    ys = np.asarray(features.labels, dtype=np.float64)
+    chunks = [slice(lo, lo + batch_size) for lo in range(0, len(ys), batch_size)]
+    loss = sum(batch_loss(probs[c], ys[c]) * len(ys[c]) for c in chunks)
+    correct = int(np.sum((probs >= 0.5).astype(np.int64) == ys.astype(np.int64)))
+    return loss / len(ys), correct / len(ys)
 
 
 def train(
-    features,
+    features: FeatureSet,
     net_cfg: NetworkConfig,
     cfg: TrainConfig,
     init_seeds=None,
-    val_features=None,
+    val_features: FeatureSet | None = None,
 ) -> tuple[list[NetworkParams], list[TrainHistory]]:
-    """Train one network per init seed on labelled feature records (a FeatureSet or a LogSpectrogram list).
+    """Train one network per init seed on a labelled FeatureSet; val_features, if given, is scored each epoch.
 
-    Records flagged normalized=False are min-max normalized as each batch is
-    built. init_seeds defaults to [cfg.seed]; the shuffle order always derives
-    from cfg.seed alone, so the machines share every batch and differ only in
+    init_seeds defaults to [cfg.seed]; the shuffle order always derives from
+    cfg.seed alone, so the machines share every batch and differ only in
     initialisation. Returns params and histories in init_seeds order.
     """
     if not features:
@@ -149,12 +144,11 @@ def train(
     if not seeds:
         raise ValueError("need at least one machine")
     shape = (net_cfg.freq_bins, net_cfg.time_steps)
-    if features[0].shape != shape:
-        raise ValueError(f"feature shape {features[0].shape} does not match network config")
-    data = FeatureSet.of(features, shape)
-    ys = np.asarray(data.labels, dtype=np.float64)
-    val = FeatureSet.of(val_features, shape) if val_features else None
-    n = len(data)
+    for data in filter(None, (features, val_features)):
+        if data.record_shape != shape:
+            raise ValueError(f"feature shape {data.record_shape} does not fit model {shape}")
+    ys = np.asarray(features.labels, dtype=np.float64)
+    n = len(features)
     operand = np.empty(shape[0] * min(cfg.batch_size, n) * shape[1])  # every step's conv operand
 
     all_params = [init_params(net_cfg, seed=seed) for seed in seeds]
@@ -168,7 +162,7 @@ def train(
         epoch_losses = [0.0] * len(seeds)
         for batch_index, lo in enumerate(range(0, n, cfg.batch_size)):
             take = order[lo : lo + cfg.batch_size]
-            bx, by = data.batch(take, operand), ys[take]
+            bx, by = features.batch(take, operand), ys[take]
             for m, (seed, params, state) in enumerate(zip(seeds, all_params, states)):
                 cache = forward_batch(params, bx, net_cfg)
                 loss = batch_loss(cache.probs, by)
@@ -185,8 +179,8 @@ def train(
         for params, history, epoch_loss in zip(all_params, histories, epoch_losses):
             history.lr.append(lr)
             history.train_loss.append(epoch_loss / n)
-            if val is not None:
-                val_loss, val_acc = evaluate_loss(params, net_cfg, val)
+            if val_features:
+                val_loss, val_acc = evaluate_loss(params, net_cfg, val_features)
                 history.val_loss.append(val_loss)
                 history.val_acc.append(val_acc)
             else:

@@ -29,7 +29,7 @@ from speechdep.evaluation import (
     prediction_set_for,
     speaker_labels,
 )
-from speechdep.features import FeatureSet, StftConfig, featurize_raw, hamming_window, read_feature_cache, stft
+from speechdep.features import StftConfig, featurize_raw, hamming_window, read_feature_cache, stft
 from speechdep.network import (
     NetworkConfig,
     NetworkParams,
@@ -41,6 +41,8 @@ from speechdep.network import (
 )
 from speechdep.sampling import crop, plan_balanced
 from speechdep.trainer import AdadeltaState, adadelta_step
+
+from feature_sets import feature_set
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
@@ -60,7 +62,7 @@ def test_criterion_01_feature_shape(capsys):
     clips = []
     synth_corpus(1, 12.0, seed=0, on_clip=lambda entry, clip: clips.append(clip))
     clip = trim_silence(clips[0], 0.1, -60.0)
-    feat = FeatureSet.of([featurize_raw(crop(clip, 4.0)[0], clip.sample_rate)])[0]
+    feat = feature_set([featurize_raw(crop(clip, 4.0)[0], clip.sample_rate)])[0]
     ok = feat.shape == (513, 125)
     _report(capsys, 1, "a 4 s crop at 16 kHz featurizes to 513x125", ok, f"shape={feat.shape}")
 

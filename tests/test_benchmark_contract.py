@@ -1,18 +1,26 @@
-"""The names and parameters the benchmark tracer relies on.
+"""The names, parameters and feature calls the benchmark relies on.
 
 perfbench/tracer.py wraps every function in its TRACED table and reads the
 batch or the cache path from fixed argument positions. It is parsed here, not
-imported, so that this check never runs the tracer's start-up code.
+imported, so that this check never runs the tracer's start-up code. The
+benchmark's own feature calls (the train workload's cache tiling and the
+allocation probe of a cache read) run here on a small cache, imported by path.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-from speechdep import audio_io, cli
+import numpy as np
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from speechdep import audio_io, cli
+from speechdep.features import LogSpectrogram, read_feature_cache, write_feature_cache
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCH / "tracer.py"
 
 
 def _traced_table() -> dict[str, list[str]]:
@@ -65,3 +73,28 @@ def test_synth_renders_every_clip_inside_synth_corpus(tmp_path, monkeypatch):
     sizes = ["synth.speakers_per_class=2", "synth.test_speakers_per_class=1", "synth.duration_s=1"]
     assert cli.main(["synth", "--out", str(tmp_path), "--jobs", "1", *(f"--set={kv}" for kv in sizes)]) == 0
     assert outside == [False] * 6
+
+
+def _bench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # workloads imports harness by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_feature_calls_run_on_a_small_cache(tmp_path, monkeypatch):
+    harness = _bench_module("harness", monkeypatch)
+    workloads = _bench_module("workloads", monkeypatch)
+    rng = np.random.default_rng(14)
+    source, tiled = tmp_path / "source.lspg", tmp_path / "tiled.lspg"
+    records = [LogSpectrogram(rng.normal(size=(32, 64)).astype(np.float32), f"s{i}", i, i % 2) for i in range(3)]
+    write_feature_cache(source, records)
+    workloads._tile_cache(source, tiled, 120)
+    features = read_feature_cache(tiled, normalize=False)
+    assert len(features) == 120
+    for i, f in enumerate(features):
+        want = records[i % 3]
+        assert (f.speaker_id, f.crop_index, f.label) == (f"{want.speaker_id}r{i // 3}", want.crop_index, want.label)
+        assert np.array_equal(f.values, want.values)
+    assert 4.0 <= harness.alloc_bytes_per_value(tiled) < 4.5

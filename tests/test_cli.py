@@ -629,3 +629,52 @@ def test_config_past_the_model_header_is_one_config_error_line_before_training(s
     code = _run("train", *argv)
     assert key.partition(".")[2] in _assert_one_error_line(code, capsys, "config")
     assert not list((tmp_path / "m").glob("*"))
+
+
+def _forbid(monkeypatch, *names):
+    """Replace cli functions with spies; returns the names each call was made to."""
+    calls = []
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    return calls
+
+
+@pytest.mark.parametrize("machines", [0, -2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_machines_is_one_config_error_line_before_the_cache_is_read(
+    small_cache, tmp_path, capsys, monkeypatch, jobs, machines
+):
+    calls = _forbid(monkeypatch, "read_feature_cache")
+    argv = ["--set", f"ensemble.machines={machines}", "--set", "train.epochs=1", "--jobs", jobs]
+    code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv)
+    assert "machine" in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "m").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("evaluate", "ensemble.method=4"),
+        ("evaluate", "ensemble.threshold=1.5"),
+        ("curve", "ensemble.threshold=1.5"),
+        ("curve", "curve.m_values=2"),  # the pool holds one model
+        ("curve", "curve.m_values=1,x"),
+        ("curve", "curve.n_combinations=0"),
+    ],
+)
+def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
+    small_cache, tmp_path, capsys, monkeypatch, command, setting
+):
+    calls = _forbid(monkeypatch, "load_model", "read_feature_cache")
+    argv = ["--models", small_cache.root / "models", "--cache", small_cache.good, "--out", tmp_path / "o"]
+    code = _run(command, *argv, "--set", setting)
+    assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "o").glob("*"))
+
+
+@pytest.mark.parametrize("setting", ["stft.hop_s=0", "stft.hop_s=inf", "stft.window_s=nan", "stft.window_s=-0.5"])
+def test_bad_stft_value_is_one_config_error_line_before_any_clip_is_read(pipe, tmp_path, capsys, monkeypatch, setting):
+    calls = _forbid(monkeypatch, "load_wav")
+    code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", "--set", setting)
+    assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "f").glob("*"))

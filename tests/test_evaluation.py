@@ -15,9 +15,11 @@ from speechdep.evaluation import (
     write_metrics_csv,
 )
 from speechdep import network
-from speechdep.features import FeatureSet, LogSpectrogram
+from speechdep.features import LogSpectrogram
 from speechdep.network import NetworkConfig, backward_batch, forward_batch, init_params
 from speechdep.trainer import TrainConfig
+
+from feature_sets import feature_set
 
 
 def test_confusion_hand_case():
@@ -141,14 +143,14 @@ def _toy_features(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
             rows = slice(0, shape[0] // 2) if label == 0 else slice(shape[0] // 2, shape[0])
             base[rows] = 1.0
             base += rng.normal(scale=0.05, size=shape)
-            feats.append(LogSpectrogram(base, speaker, i, label, normalized=True))
-    return feats
+            feats.append(LogSpectrogram(base, speaker, i, label))
+    return feature_set(feats)
 
 
 def test_speaker_labels_helper():
     feats = _toy_features({"a": 0, "b": 1})
     assert speaker_labels(feats) == {"a": 0, "b": 1}
-    feats[0].label = 1
+    feats.labels[0] = 1
     with pytest.raises(ValueError, match="conflicting"):
         speaker_labels(feats)
 
@@ -176,7 +178,8 @@ def _per_machine_probs(params, net, features, batch_size):
     """The per-machine path pool prediction replaced: stack each chunk, then forward_batch."""
     probs = []
     for lo in range(0, len(features), batch_size):
-        chunk = np.stack([np.asarray(f.values, dtype=np.float64) for f in features[lo : lo + batch_size]])
+        rows = range(lo, min(lo + batch_size, len(features)))
+        chunk = np.stack([np.asarray(features[i].values, dtype=np.float64) for i in rows])
         probs.append(forward_batch(params, chunk, net).probs)
     return np.concatenate(probs)
 
@@ -184,7 +187,7 @@ def _per_machine_probs(params, net, features, batch_size):
 def test_pool_prediction_is_bitwise_the_per_machine_path(monkeypatch):
     net = NetworkConfig(freq_bins=4, time_steps=6, filters=3, pool_kernel=3, pool_stride=2, hidden=4)
     pool = [init_params(net, seed) for seed in (11, 12, 13)]
-    feats = _toy_features({"a": 0, "b": 1, "c": 1}, crops_per_speaker=2, seed=7)[:5]
+    feats = _toy_features({"a": 0, "b": 1, "c": 1}, crops_per_speaker=2, seed=7).take(range(5))
     calls = []
 
     def spy(params, xs, cfg):
@@ -232,7 +235,7 @@ def test_prediction_computes_no_pool_argmax(monkeypatch):
     monkeypatch.setattr(network, "_pool_argmax", lambda *args: calls.append(1) or argmax(*args))
     predict_speaker_probs(pool, net, feats)
     assert calls == []
-    xs = FeatureSet.of(feats).batch(range(2))
+    xs = feats.batch(range(2))
     backward_batch(pool[0], forward_batch(pool[0], xs, net), xs, [0, 1], net)
     assert calls == [1]  # the spy sees backward's argmax
 
@@ -240,8 +243,7 @@ def test_prediction_computes_no_pool_argmax(monkeypatch):
 def test_predict_rejects_features_of_another_shape():
     net = _toy_net()
     feats = _toy_features({"a": 0}, crops_per_speaker=2, shape=(4, 7))
-    feats[0].values = feats[0].values[:, :5]  # 5 + 7 columns would reshape into two of 6
-    with pytest.raises(ValueError, match="does not fit model"):
+    with pytest.raises(ValueError, match=r"expected batch of \(4, 6\), got \(2, 4, 7\)"):
         predict_speaker_probs([init_params(net, 0)], net, feats)
 
 
@@ -299,7 +301,7 @@ def test_cross_validate_k1_trains_on_everything():
 def test_cross_validate_rejects_empty_inputs():
     feats = _toy_features({"a": 0, "b": 1})
     with pytest.raises(ValueError):
-        cross_validate([], feats, _toy_net(), TrainConfig(epochs=1), EnsembleConfig(machines=1))
+        cross_validate(feats.take([]), feats, _toy_net(), TrainConfig(epochs=1), EnsembleConfig(machines=1))
 
 
 def test_write_metrics_csv(tmp_path):

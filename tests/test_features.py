@@ -6,7 +6,6 @@ import pytest
 
 from speechdep.audio_io import AudioClip
 from speechdep.features import (
-    FeatureSet,
     LogSpectrogram,
     StftConfig,
     featurize_raw,
@@ -17,7 +16,11 @@ from speechdep.features import (
     stft,
     write_feature_cache,
 )
+from speechdep.network import NetworkConfig
 from speechdep.sampling import SampleCrop, crop
+from speechdep.trainer import TrainConfig, train
+
+from feature_sets import feature_set
 
 
 def _naive_dft_frame(frame, n_fft, n_bins):
@@ -127,7 +130,7 @@ def test_minmax_normalize_range_and_constant():
 def test_normalization_happens_per_spectrogram():
     rng = np.random.default_rng(4)
     clip = AudioClip(rng.uniform(-0.8, 0.8, 8 * 16000), 16000, "s", 0)
-    feats = list(FeatureSet.of([featurize_raw(c, clip.sample_rate) for c in crop(clip, 4.0)]))
+    feats = list(feature_set([featurize_raw(c, clip.sample_rate) for c in crop(clip, 4.0)]))
     for f in feats:
         assert f.normalized
         assert f.values.min() == 0.0 and f.values.max() == 1.0
@@ -150,7 +153,7 @@ def test_feature_cache_round_trip_is_bitwise(tmp_path):
         assert (a.speaker_id, a.crop_index, a.label) == (b.speaker_id, b.crop_index, b.label)
 
     reloaded = read_feature_cache(path)
-    for a, b in zip(FeatureSet.of([featurize_raw(c, clip.sample_rate) for c in crops]), reloaded):
+    for a, b in zip(feature_set([featurize_raw(c, clip.sample_rate) for c in crops]), reloaded):
         np.testing.assert_array_equal(a.values, b.values)
         assert b.normalized
 
@@ -160,7 +163,7 @@ def test_feature_cache_rejects_bad_inputs(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         write_feature_cache(path, [])
     good = LogSpectrogram(np.zeros((4, 4), dtype=np.float32), "s", 0, 0)
-    normalized = FeatureSet.of([good])[0]
+    normalized = feature_set([good])[0]
     with pytest.raises(ValueError, match="pre-normalization"):
         write_feature_cache(path, [normalized])
     other = LogSpectrogram(np.zeros((4, 5), dtype=np.float32), "s", 1, 0)
@@ -203,7 +206,7 @@ def test_batch_normalization_is_bitwise_minmax_normalize(tmp_path):
     write_feature_cache(path, [LogSpectrogram(r, "s", i, i % 2) for i, r in enumerate(records)])
     expected = np.stack([minmax_normalize(r) for r in records])
     assert not expected[0].any()
-    stacked = FeatureSet.of([LogSpectrogram(r, "s", 0, 0) for r in records])
+    stacked = feature_set([LogSpectrogram(r, "s", 0, 0) for r in records])
     for features in (read_feature_cache(path), stacked):
         assert np.array_equal(features.batch(range(len(records))), expected)
         rows = [4, 0, 2]
@@ -216,17 +219,6 @@ def test_batch_normalization_is_bitwise_minmax_normalize(tmp_path):
         assert np.isnan(buffer[operand.size :]).all()
         for f, want in zip(features, expected):
             assert f.normalized and np.array_equal(f.values, want)
-
-
-def test_normalized_records_pass_through_unchanged():
-    rng = np.random.default_rng(9)
-    values = [rng.normal(size=(2, 3)) * 5.0, np.full((2, 3), -0.0), np.full((2, 3), 3.0)]
-    features = FeatureSet.of([LogSpectrogram(v, "s", i, 0, normalized=True) for i, v in enumerate(values)])
-    assert np.array_equal(features.batch([0, 1, 2]), np.stack(values))
-    assert np.signbit(features.batch([1])).all()  # an identity map keeps even the sign of zero
-    raw, done = LogSpectrogram(values[0], "s", 0, 0), LogSpectrogram(values[0], "s", 1, 0, normalized=True)
-    mixed = FeatureSet.of([raw, done])
-    assert np.array_equal(mixed.batch([0, 1]), [minmax_normalize(values[0]), values[0]])
 
 
 def test_feature_set_keeps_the_record_contract(tmp_path):
@@ -248,8 +240,9 @@ def test_feature_set_keeps_the_record_contract(tmp_path):
     subset = read_feature_cache(path).take([2, 0])
     assert subset.speaker_ids == ["spk3", "spk1"]
     assert np.array_equal(subset[1].values, minmax_normalize(raw[0].values))
+    net = NetworkConfig(freq_bins=4, time_steps=3, filters=1, pool_kernel=1, pool_stride=1, hidden=1)
     with pytest.raises(ValueError, match=r"feature shape \(3, 4\) does not fit model \(4, 3\)"):
-        FeatureSet.of(subset, (4, 3))
+        train(subset, net, TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("normalize", [False, True])

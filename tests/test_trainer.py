@@ -6,7 +6,7 @@ import pytest
 
 from speechdep import trainer
 from speechdep.features import FeatureSet, LogSpectrogram, read_feature_cache, write_feature_cache
-from speechdep.network import NetworkConfig, NetworkParams, forward_batch, init_params
+from speechdep.network import NetworkConfig, NetworkParams, batch_loss, forward_batch, init_params
 from speechdep.trainer import (
     AdadeltaState,
     TrainConfig,
@@ -18,6 +18,8 @@ from speechdep.trainer import (
     train,
     write_history_csv,
 )
+
+from feature_sets import feature_set
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
@@ -137,10 +139,8 @@ def _toy_features(n_per_class, shape=(4, 6), seed=0, scale=1.0):
             rows = slice(0, shape[0] // 2) if label == 0 else slice(shape[0] // 2, shape[0])
             base[rows] = 1.0
             base += rng.normal(scale=0.05, size=shape) * scale
-            feats.append(
-                LogSpectrogram(base, f"s{label}{i}", i, label, normalized=True)
-            )
-    return feats
+            feats.append(LogSpectrogram(base, f"s{label}{i}", i, label))
+    return feature_set(feats)
 
 
 def _toy_net():
@@ -193,27 +193,25 @@ def test_train_init_seed_changes_outcome_but_not_order():
 
 def test_train_rejects_bad_inputs():
     with pytest.raises(ValueError, match="no training samples"):
-        train([], _toy_net(), TrainConfig(epochs=1))
+        train(_toy_features(1).take([]), _toy_net(), TrainConfig(epochs=1))
     feats = _toy_features(2, shape=(3, 6))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match="does not fit model"):
         train(feats, _toy_net(), TrainConfig(epochs=1))
 
 
 def test_train_aborts_on_non_finite_loss():
     feats = _toy_features(4)
-    feats[0].values[0, 0] = np.nan
+    feats.block[0, 0, 0] = np.nan
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
         train(feats, _toy_net(), TrainConfig(epochs=1, batch_size=8, seed=0))
 
 
-def _raw_features(n, shape=(4, 6), seed=0):
+def _raw_features(n, shape=(4, 6), seed=0, normalized=True):
     """Pre-normalization float32 records, one of them constant."""
-    feats = []
-    for f in _toy_features(n // 2, shape=shape, seed=seed):
-        values = (f.values * 30.0 - 80.0).astype(np.float32)
-        feats.append(LogSpectrogram(values, f.speaker_id, f.crop_index, f.label))
-    feats[1].values[:] = np.float32(-12.5)
-    return feats
+    toy = _toy_features(n // 2, shape=shape, seed=seed)
+    block = (toy.block * 30.0 - 80.0).astype(np.float32)
+    block[1] = np.float32(-12.5)
+    return FeatureSet(block, toy.speaker_ids, toy.crop_indices, toy.labels, normalized)
 
 
 def _assert_same_params(a, b):
@@ -225,9 +223,9 @@ def _assert_same_params(a, b):
 def test_raw_and_pre_normalized_features_train_the_same_params(tmp_path):
     raw = _raw_features(10)
     path = tmp_path / "raw.lspg"
-    write_feature_cache(path, raw)
+    write_feature_cache(path, _raw_features(10, normalized=False))
     cfg = TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=6)
-    [expected], [hist] = train(list(FeatureSet.of(raw)), _toy_net(), cfg)
+    [expected], [hist] = train(feature_set(list(raw)), _toy_net(), cfg)
     for features in (raw, read_feature_cache(path), read_feature_cache(path, normalize=False)):
         [params], [again] = train(features, _toy_net(), cfg)
         _assert_same_params(params, expected)
@@ -235,8 +233,8 @@ def test_raw_and_pre_normalized_features_train_the_same_params(tmp_path):
 
 
 def test_non_finite_raw_record_still_aborts(tmp_path):
-    raw = _raw_features(8)
-    raw[3].values[1, 2] = np.nan
+    raw = _raw_features(8, normalized=False)
+    raw.block[3, 1, 2] = np.nan
     path = tmp_path / "nan.lspg"
     write_feature_cache(path, raw)
     for features in (raw, read_feature_cache(path)):
@@ -316,13 +314,35 @@ def test_evaluate_loss_hand_case():
     params = init_params(net, 0)
     for name in ("w_conv", "w_hidden", "w_out"):
         getattr(params, name)[:] = 0.0  # all-zero net outputs p = 0.5 everywhere
-    feats = [
-        LogSpectrogram(np.ones((2, 2)), "a", 0, 1, normalized=True),
-        LogSpectrogram(np.ones((2, 2)), "b", 0, 0, normalized=True),
-    ]
+    feats = feature_set([LogSpectrogram(np.ones((2, 2)), "a", 0, 1), LogSpectrogram(np.ones((2, 2)), "b", 0, 0)])
     loss, acc = evaluate_loss(params, net, feats)
     assert loss == pytest.approx(math.log(2.0))
     assert acc == 0.5  # p = 0.5 maps to label 1, so only the positive is right
+
+
+def _chunk_loop_loss(params, net, features, batch_size):
+    """evaluate_loss as its own chunk loop: each chunk is normalized, forwarded and scored in turn."""
+    ys = np.asarray(features.labels, dtype=np.float64)
+    losses, correct, n = [], 0, len(features)
+    for lo in range(0, n, batch_size):
+        chunk_x = features.batch(range(lo, min(lo + batch_size, n)))
+        chunk_y = ys[lo : lo + batch_size]
+        probs = forward_batch(params, chunk_x, net).probs
+        losses.append(batch_loss(probs, chunk_y) * chunk_x.shape[0])
+        correct += int(np.sum((probs >= 0.5).astype(np.int64) == chunk_y.astype(np.int64)))
+    return sum(losses) / n, correct / n
+
+
+def test_evaluate_loss_is_bitwise_the_chunk_loop():
+    net = _toy_net()
+    features = _raw_features(14)  # record 1 is constant
+    assert features.span[1] == 0.0 and features.span[0] > 0.0
+    [trained], _ = train(features, net, TrainConfig(epochs=2, batch_size=4, seed=3))
+    for params in (init_params(net, 8), trained):
+        for batch_size in (1, 2, 7, 14, 3, 4, 5, 256):  # even splits, uneven splits, one chunk
+            got = np.array(evaluate_loss(params, net, features, batch_size))
+            want = np.array(_chunk_loop_loss(params, net, features, batch_size))
+            assert got.tobytes() == want.tobytes(), (batch_size, got, want)
 
 
 def test_history_csv(tmp_path):
