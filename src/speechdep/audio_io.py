@@ -282,7 +282,7 @@ def synth_corpus(
     labels = [0] * n_speakers_per_class + [1] * n_speakers_per_class
     draws = (_draw_clip(rng, label, rng.uniform(duration_s / 2.0, duration_s), sample_rate) for label in labels)
     entries = []
-    # The default start method, as for the CLI's other pools: a forked worker keeps the
+    # The default start method, fork on Linux as for cli._map's pool: a forked worker keeps the
     # malloc thresholds, and the executor forks its workers before starting its own thread.
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         rendered = _in_order(pool, _render_clip, draws, 2 * jobs) if pool else map(_render_clip, draws)

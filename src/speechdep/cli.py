@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ from .evaluation import (
 )
 from .features import FeatureSet, StftConfig, featurize_raw, read_feature_cache, write_feature_cache
 from .network import NetworkConfig, load_model, save_model
-from .sampling import SampleCrop, crop, materialize_eval_set, materialize_training_set, plan_balanced
+from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
 from .trainer import TrainConfig, TrainingDivergedError, train, write_history_csv
 
 # key -> (type, default); defaults follow the best-performing configuration:
@@ -93,9 +94,6 @@ class CliError(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
-
-    def __reduce__(self):  # rebuilt intact when raised in a --jobs worker
-        return CliError, (self.category, str(self))
 
 
 @dataclass
@@ -203,6 +201,32 @@ def _write_run_artifacts(out_dir: Path, command: str, cfg: RunConfig, summary: d
     (out_dir / "run_summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_inherited = None  # a --jobs worker's (fn, inherited), taken over from the parent at fork
+
+
+def _inherit(fn, inherited) -> None:
+    global _inherited
+    _inherited = fn, inherited
+
+
+def _call_inherited(task):
+    fn, inherited = _inherited
+    return fn(inherited, task)
+
+
+def _map(fn, tasks, jobs: int, inherited) -> list:
+    """[fn(inherited, task) for task in tasks], in `jobs` forked worker processes when jobs > 1.
+
+    Only the tasks and results are pickled: the workers are forked with
+    `inherited` already in memory and share its pages copy-on-write.
+    """
+    if jobs == 1:
+        return [fn(inherited, task) for task in tasks]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(jobs, mp_context=fork, initializer=_inherit, initargs=(fn, inherited)) as pool:
+        return list(pool.map(_call_inherited, tasks))
+
+
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
@@ -248,19 +272,18 @@ def _crop_count(entry_path: Path, cfg_values: dict) -> tuple[int, int]:
     return len(crop(clip, cfg_values["sampling.crop_s"])), clip.sample_rate
 
 
-def _featurize_speaker(task) -> tuple[str, list]:
-    """Worker: features for the wanted crop indices of one speaker's clip."""
-    path, speaker_id, label, wanted, cfg_values, stft_cfg = task
+def _featurize_speaker(inherited, task) -> list:
+    """Features for the wanted crop indices of one speaker's clip."""
+    cfg_values, stft_cfg = inherited
+    path, speaker_id, label, wanted = task
     clip = load_wav(path)
     clip.speaker_id, clip.label = speaker_id, label
     clip = trim_silence(clip, cfg_values["trim.frame_s"], cfg_values["trim.floor_db"])
-    wanted = set(wanted)
-    feats = [
+    return [
         featurize_raw(c, clip.sample_rate, stft_cfg)  # the cache normalizes on read
         for c in crop(clip, cfg_values["sampling.crop_s"])
         if c.crop_index in wanted
     ]
-    return speaker_id, feats
 
 
 def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, stft_cfg: StftConfig, jobs: int):
@@ -269,16 +292,12 @@ def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, 
     for speaker_id, crop_index in ordered_keys:
         wanted.setdefault(speaker_id, set()).add(crop_index)
     tasks = [
-        (str(manifest_dir / e.path), e.speaker_id, e.label, sorted(wanted[e.speaker_id]), cfg.values, stft_cfg)
+        (str(manifest_dir / e.path), e.speaker_id, e.label, wanted[e.speaker_id])
         for e in entries
         if e.speaker_id in wanted
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_featurize_speaker, tasks))
-    else:
-        results = dict(map(_featurize_speaker, tasks))
-    by_key = {(s, f.crop_index): f for s, feats in results.items() for f in feats}
+    results = _map(_featurize_speaker, tasks, jobs, (cfg.values, stft_cfg))
+    by_key = {(f.speaker_id, f.crop_index): f for feats in results for f in feats}
     return [by_key[key] for key in ordered_keys]
 
 
@@ -308,32 +327,12 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
             raise CliError("data", f"{path} is sampled at {rate} Hz, but {first_path} at {first_rate} Hz")
 
     labels = {e.speaker_id: e.label for e in manifest.entries}
-    plan = plan_balanced(
-        {e.speaker_id: counts[e.speaker_id] for e in train_entries},
-        labels,
-        seed=seed,
+    train_counts = {e.speaker_id: counts[e.speaker_id] for e in train_entries}
+    plan = plan_balanced(train_counts, labels, seed=seed)
+    train_order = materialize_training_set(plan, train_counts, seed=seed + 1)
+    test_order = materialize_eval_set(
+        {e.speaker_id: counts[e.speaker_id] for e in test_entries}, cap=cfg["sampling.eval_cap"]
     )
-    # placeholder crops carry only identity; selection never looks at samples
-    train_placeholders = [
-        SampleCrop(e.speaker_id, i, np.empty(0), e.label)
-        for e in train_entries
-        for i in range(counts[e.speaker_id])
-    ]
-    train_order = [
-        (c.speaker_id, c.crop_index)
-        for c in materialize_training_set(plan, train_placeholders, seed=seed + 1)
-    ]
-    test_order = [
-        (c.speaker_id, c.crop_index)
-        for c in materialize_eval_set(
-            [
-                SampleCrop(e.speaker_id, i, np.empty(0), e.label)
-                for e in test_entries
-                for i in range(counts[e.speaker_id])
-            ],
-            cap=cfg["sampling.eval_cap"],
-        )
-    ]
 
     train_features = _featurize_split(train_entries, manifest_dir, train_order, cfg, stft_cfg, jobs)
     write_feature_cache(out_dir / "train.lspg", train_features)
@@ -365,33 +364,17 @@ def _read_cache(cache_path) -> FeatureSet:
     return features
 
 
-# A --jobs worker's feature sets, each read on the first task that needs it.
-# Not a pool initializer: an error raised there breaks the pool and loses its
-# message, and a forked pool starts every worker, busy or not.
-_worker_features: dict[str, FeatureSet] = {}
-
-
-def _train_group(task, features: FeatureSet | None = None) -> list[tuple[str, float]]:
-    """Train a group of machines in lockstep and write their artifacts in machine order.
-
-    A --jobs worker passes no features and reads the cache once per process.
-    """
-    cache_path, out_dir, cfg_values, machines = task
-    if features is None:
-        if cache_path not in _worker_features:
-            _worker_features[cache_path] = _read_cache(cache_path)
-        features = _worker_features[cache_path]
-    cfg = RunConfig(cfg_values)
-    net_cfg = cfg.network_config(*features.record_shape)
-    train_cfg = cfg.train_config()
+def _train_group(inherited, machines) -> list[tuple[str, float]]:
+    """Train a group of machines in lockstep and write their artifacts in machine order."""
+    features, net_cfg, train_cfg, out_dir = inherited
     all_params, histories = train(
         features, net_cfg, train_cfg, init_seeds=[train_cfg.seed + m for m in machines]
     )
     outcomes = []
     for m, params, history in zip(machines, all_params, histories):
         model_name = f"model_{m:03d}.sdm"
-        save_model(Path(out_dir) / model_name, net_cfg, params)
-        write_history_csv(Path(out_dir) / f"history_{m:03d}.csv", history)
+        save_model(out_dir / model_name, net_cfg, params)
+        write_history_csv(out_dir / f"history_{m:03d}.csv", history)
         outcomes.append((model_name, history.train_loss[-1]))
     return outcomes
 
@@ -399,16 +382,17 @@ def _train_group(task, features: FeatureSet | None = None) -> list[tuple[str, fl
 def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
-    machines = cfg.ensemble_config().machines  # a bad ensemble key fails before the cache is read
-    if jobs > 1:
-        # at most `jobs` contiguous groups, sizes differing by at most one
-        groups = [g for g in np.array_split(np.arange(machines), jobs) if g.size]
-        tasks = [(str(cache_path), str(out_dir), cfg.values, g.tolist()) for g in groups]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = [o for group in pool.map(_train_group, tasks) for o in group]
-    else:
-        task = (str(cache_path), str(out_dir), cfg.values, range(machines))
-        outcomes = _train_group(task, _read_cache(cache_path))
+    # every ensemble, train and network value is checked before the cache is read;
+    # the network shape checks pass at (1, 1)
+    machines = cfg.ensemble_config().machines
+    train_cfg = cfg.train_config()
+    cfg.network_config(1, 1)
+    features = _read_cache(cache_path)
+    net_cfg = cfg.network_config(*features.record_shape)
+    # at most `jobs` contiguous groups, sizes differing by at most one
+    groups = [g.tolist() for g in np.array_split(np.arange(machines), jobs) if g.size]
+    inherited = (features, net_cfg, train_cfg, out_dir)
+    outcomes = [o for group in _map(_train_group, groups, jobs, inherited) for o in group]
     return {
         "machines": machines,
         "models": [name for name, _ in outcomes],
@@ -465,10 +449,11 @@ def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Pa
 
 # ---------------------------------------------------------------- curve
 
-def _curve_task(task):
-    preds, truth, m, n_combinations, method, threshold, seed = task
+def _curve_task(inherited, task):
+    preds, truth, n_combinations, threshold, seed = inherited
+    method, m = task
     [point] = f1_vs_m_experiment(preds, truth, [m], n_combinations, method, threshold, seed)
-    return method, point
+    return point
 
 
 def _parse_m_values(raw: str, pool_size: int) -> list[int]:
@@ -494,21 +479,11 @@ def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path,
     if n_combinations < 1:
         raise CliError("config", f"curve.n_combinations must be >= 1, got {n_combinations}")
     preds, truth = _pool_predictions(model_paths, cache_path, threshold)
-    seed = cfg["seed"]
 
-    tasks = [
-        (preds, truth, m, n_combinations, method, threshold, seed)
-        for method in (1, 2, 3)
-        for m in m_values
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            outcomes = list(pool_exec.map(_curve_task, tasks))
-    else:
-        outcomes = [_curve_task(t) for t in tasks]
-
+    tasks = [(method, m) for method in (1, 2, 3) for m in m_values]
+    inherited = (preds, truth, n_combinations, threshold, cfg["seed"])
     points: dict[int, list] = {1: [], 2: [], 3: []}
-    for method, point in outcomes:
+    for (method, _), point in zip(tasks, _map(_curve_task, tasks, jobs, inherited)):
         points[method].append(point)
     for method in points:
         points[method].sort(key=lambda pt: pt.m)

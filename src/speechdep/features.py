@@ -169,7 +169,7 @@ class FeatureSet(Sequence):
     minmax_normalize's arithmetic, with lo and span taken from the block when
     the set is built; span 0.0 marks a constant record, which maps to zeros.
     Indexing yields LogSpectrogram records: float64 normalized copies, or
-    views of the block when normalized is False.
+    views of the block when normalized is False. A slice yields take() of its rows.
     """
 
     block: np.ndarray
@@ -186,7 +186,9 @@ class FeatureSet(Sequence):
     def __len__(self) -> int:
         return self.block.shape[0]
 
-    def __getitem__(self, index) -> LogSpectrogram:
+    def __getitem__(self, index) -> "LogSpectrogram | FeatureSet":
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
         index = range(len(self))[index]
         values = self.batch([index])[0] if self.normalized else self.block[index]
         return LogSpectrogram(

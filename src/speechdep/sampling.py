@@ -10,8 +10,7 @@ crops and both classes contributing exactly K speakers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import defaultdict
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -95,43 +94,25 @@ def plan_balanced(
     return BalancedPlan(crops_per_speaker=c, speakers_per_class=k, selected_speakers=selected)
 
 
-def _group_by_speaker(crops: Iterable[SampleCrop]) -> dict[str, list[SampleCrop]]:
-    groups: dict[str, list[SampleCrop]] = defaultdict(list)
-    for cr in crops:
-        groups[cr.speaker_id].append(cr)
-    for spk in groups:
-        groups[spk].sort(key=lambda cr: cr.crop_index)
-    return groups
-
-
 def materialize_training_set(
-    plan: BalancedPlan, crops: Iterable[SampleCrop], seed: int = 0
-) -> list[SampleCrop]:
-    """Draw exactly c crops per selected speaker (seeded) and shuffle the result."""
-    groups = _group_by_speaker(crops)
+    plan: BalancedPlan, crop_counts: Mapping[str, int], seed: int = 0
+) -> list[tuple[str, int]]:
+    """Draw exactly c of each selected speaker's crops 0..count-1 (seeded) and shuffle
+    the (speaker_id, crop_index) keys."""
     rng = np.random.default_rng(seed)
     c = plan.crops_per_speaker
-    chosen: list[SampleCrop] = []
+    chosen: list[tuple[str, int]] = []
     for cls in (0, 1):
         for spk in plan.selected_speakers[cls]:
-            available = groups.get(spk, [])
-            if len(available) < c:
-                raise ValueError(
-                    f"speaker {spk} has {len(available)} crops, plan needs {c}"
-                )
-            if len(available) == c:
-                picked = available
-            else:
-                picked = [available[i] for i in rng.choice(len(available), size=c, replace=False)]
-            chosen.extend(picked)
+            count = crop_counts.get(spk, 0)
+            if count < c:
+                raise ValueError(f"speaker {spk} has {count} crops, plan needs {c}")
+            picked = range(c) if count == c else rng.choice(count, size=c, replace=False).tolist()
+            chosen.extend((spk, i) for i in picked)
     order = rng.permutation(len(chosen))
     return [chosen[i] for i in order]
 
 
-def materialize_eval_set(crops: Iterable[SampleCrop], cap: int = DEFAULT_EVAL_CAP) -> list[SampleCrop]:
-    """Keep the first min(cap, available) crops of every speaker."""
-    groups = _group_by_speaker(crops)
-    out: list[SampleCrop] = []
-    for spk in sorted(groups):
-        out.extend(groups[spk][:cap])
-    return out
+def materialize_eval_set(crop_counts: Mapping[str, int], cap: int = DEFAULT_EVAL_CAP) -> list[tuple[str, int]]:
+    """The (speaker_id, crop_index) keys of every speaker's first min(cap, count) crops."""
+    return [(spk, i) for spk in sorted(crop_counts) for i in range(crop_counts[spk])[:cap]]

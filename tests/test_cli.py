@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -216,6 +215,22 @@ def test_train_jobs_2_splits_an_odd_ensemble_into_uneven_groups(pipe, tmp_path):
     assert _run("train", "--cache", cache, "--out", parallel, "--seed", SEED, "--jobs", 2, *FAST, *three) == 0
     names = [f"{kind}_{m:03d}.{ext}" for m in range(3) for kind, ext in (("model", "sdm"), ("history", "csv"))]
     for name in [*names, "run_summary.json"]:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
+def test_featurize_jobs_2_writes_the_jobs_1_bytes(pipe, tmp_path):
+    argv = ["--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path, "--seed", SEED, "--jobs", 2, *FAST]
+    assert _run("featurize", *argv) == 0
+    for name in ("train.lspg", "test.lspg", "run_summary.json"):
+        assert (pipe.feats / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_curve_jobs_2_writes_the_jobs_1_bytes(pipe, tmp_path):
+    serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+    argv = ["--models", pipe.models, "--cache", pipe.feats / "test.lspg", "--set", "curve.m_values=2,1", *FAST]
+    assert _run("curve", *argv, "--out", serial) == 0
+    assert _run("curve", *argv, "--out", parallel, "--jobs", 2) == 0
+    for name in ("curve.csv", "curve.svg", "run_summary.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
@@ -572,10 +587,8 @@ def test_directory_as_wav_path_is_one_io_error_line(pipe, tmp_path, capsys):
     assert str(wav) in _assert_one_error_line(code, capsys, "io")
 
 
-def test_train_jobs_2_reads_the_cache_once_per_worker(small_cache, tmp_path, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the counting wrapper reaches the workers only through fork")
-    log = tmp_path / "reads.log"
+def test_train_jobs_2_reads_the_cache_once_in_the_parent(small_cache, tmp_path, monkeypatch):
+    log = tmp_path / "reads.log"  # the forked workers inherit the counting wrapper
     read = cli.read_feature_cache
 
     def counted(path, *args, **kwargs):
@@ -586,8 +599,7 @@ def test_train_jobs_2_reads_the_cache_once_per_worker(small_cache, tmp_path, mon
     monkeypatch.setattr(cli, "read_feature_cache", counted)
     argv = ["--set", "ensemble.machines=4", "--set", "train.epochs=1", "--jobs", 2]
     assert _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv) == 0
-    reads = log.read_text().split()
-    assert 1 <= len(reads) <= 2 and len(set(reads)) == len(reads), reads
+    assert log.read_text().split() == [str(os.getpid())]
     assert len(list((tmp_path / "m").glob("model_*.sdm"))) == 4
 
 
@@ -648,6 +660,18 @@ def test_no_machines_is_one_config_error_line_before_the_cache_is_read(
     argv = ["--set", f"ensemble.machines={machines}", "--set", "train.epochs=1", "--jobs", jobs]
     code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv)
     assert "machine" in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "m").glob("*"))
+
+
+@pytest.mark.parametrize("setting", ["train.batch_size=0", "network.pool_pad=-1", "train.lr_start=nan"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_train_or_network_value_is_one_config_error_line_before_the_cache_is_read(
+    small_cache, tmp_path, capsys, monkeypatch, jobs, setting
+):
+    calls = _forbid(monkeypatch, "read_feature_cache")
+    argv = [*_SMALL_RUN, "--set", setting, "--jobs", jobs]
+    code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv)
+    assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")
     assert calls == [] and not list((tmp_path / "m").glob("*"))
 
 

@@ -245,6 +245,24 @@ def test_feature_set_keeps_the_record_contract(tmp_path):
         train(subset, net, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_feature_set_slice_is_take_of_its_rows(tmp_path, normalize):
+    path = tmp_path / "f.lspg"
+    rng = np.random.default_rng(4)
+    raw = [LogSpectrogram(rng.normal(size=(3, 4)).astype(np.float32), f"s{i}", i, i % 2) for i in range(6)]
+    write_feature_cache(path, raw)
+    features = read_feature_cache(path, normalize=normalize)
+    sliced, taken = features[1:4], features.take(range(1, 4))
+    assert len(sliced) == 3 and sliced.normalized == normalize
+    for got, want in zip(sliced, taken, strict=True):
+        assert (got.speaker_id, got.crop_index, got.label, got.normalized) == (
+            want.speaker_id, want.crop_index, want.label, want.normalized
+        )
+        assert got.values.dtype == want.values.dtype and np.array_equal(got.values, want.values)
+    assert [f.crop_index for f in features[::-2]] == [5, 3, 1]
+    assert len(features[4:1]) == 0
+
+
 @pytest.mark.parametrize("normalize", [False, True])
 def test_cache_read_allocates_about_one_float32_copy(tmp_path, normalize):
     path = tmp_path / "big.lspg"

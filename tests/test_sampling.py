@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from speechdep.audio_io import AudioClip
-from speechdep.sampling import (
-    SampleCrop,
-    crop,
-    materialize_eval_set,
-    materialize_training_set,
-    plan_balanced,
-)
+from speechdep.sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
 
 
 def _subset_optimum(counts, labels):
@@ -114,49 +108,48 @@ def test_crop_rejects_nonpositive_length():
         crop(AudioClip(np.zeros(16000), 16000), 0.0)
 
 
-def _fake_crops(layout):
-    """layout: {speaker: (label, n_crops)} -> SampleCrop list with dummy audio."""
-    out = []
-    for speaker, (label, n) in layout.items():
-        for i in range(n):
-            out.append(SampleCrop(speaker, i, np.full(4, float(i)), label))
-    return out
-
-
 def test_materialize_training_set_honors_plan():
-    layout = {"a0": (0, 5), "a1": (0, 3), "b0": (1, 4), "b1": (1, 6)}
-    crops = _fake_crops(layout)
-    counts = {s: n for s, (_, n) in layout.items()}
-    labels = {s: lab for s, (lab, _) in layout.items()}
+    counts = {"a0": 5, "a1": 3, "b0": 4, "b1": 6}
+    labels = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
     plan = plan_balanced(counts, labels, seed=1)
-    chosen = materialize_training_set(plan, crops, seed=1)
+    chosen = materialize_training_set(plan, counts, seed=1)
     assert len(chosen) == plan.total_samples
     per_speaker = {}
-    for c in chosen:
-        per_speaker.setdefault(c.speaker_id, set()).add(c.crop_index)
+    for speaker_id, crop_index in chosen:
+        per_speaker.setdefault(speaker_id, set()).add(crop_index)
     selected = set(plan.selected_speakers[0]) | set(plan.selected_speakers[1])
     assert set(per_speaker) == selected
     assert all(len(v) == plan.crops_per_speaker for v in per_speaker.values())
-    again = materialize_training_set(plan, crops, seed=1)
-    assert [(c.speaker_id, c.crop_index) for c in chosen] == [
-        (c.speaker_id, c.crop_index) for c in again
+    again = materialize_training_set(plan, counts, seed=1)
+    assert chosen == again
+
+
+def test_materialize_training_set_keys_are_pinned():
+    """c = 3, so a0, b0 and b1 draw with rng.choice; the list was recorded with the
+    earlier selection over SampleCrop lists."""
+    counts = {"a0": 5, "a1": 3, "b0": 4, "b1": 6}
+    labels = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
+    plan = plan_balanced(counts, labels, seed=1)
+    assert plan.crops_per_speaker == 3
+    chosen = materialize_training_set(plan, counts, seed=1)
+    assert chosen == [
+        ("a0", 1), ("a1", 0), ("b0", 3), ("a0", 2), ("b0", 0), ("a1", 1),
+        ("b0", 2), ("a1", 2), ("b1", 2), ("b1", 1), ("a0", 3), ("b1", 3),
     ]
+    assert all(type(i) is int for _, i in chosen)
 
 
 def test_materialize_training_set_rejects_short_speakers():
-    layout = {"a0": (0, 4), "b0": (1, 4)}
-    crops = _fake_crops(layout)
     plan = plan_balanced({"a0": 4, "b0": 4}, {"a0": 0, "b0": 1}, seed=0)
     with pytest.raises(ValueError, match="a0"):
-        materialize_training_set(plan, [c for c in crops if not (c.speaker_id == "a0" and c.crop_index > 1)], seed=0)
+        materialize_training_set(plan, {"a0": 2, "b0": 4}, seed=0)
 
 
 def test_materialize_eval_set_caps_per_speaker():
-    layout = {"t0": (0, 7), "t1": (1, 2)}
-    out = materialize_eval_set(_fake_crops(layout), cap=4)
+    out = materialize_eval_set({"t0": 7, "t1": 2}, cap=4)
     by_speaker = {}
-    for c in out:
-        by_speaker.setdefault(c.speaker_id, []).append(c.crop_index)
+    for speaker_id, crop_index in out:
+        by_speaker.setdefault(speaker_id, []).append(crop_index)
     assert by_speaker == {"t0": [0, 1, 2, 3], "t1": [0, 1]}
 
 
