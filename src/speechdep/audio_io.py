@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import csv
 import struct
-from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -260,7 +257,7 @@ def synth_corpus(
     split: str = "train",
     *,
     on_clip: Callable[[ManifestEntry, AudioClip], None],
-    jobs: int = 1,
+    render: Callable = map,
 ) -> CorpusManifest:
     """Generate a deterministic labeled corpus of harmonic-tone speakers.
 
@@ -269,8 +266,10 @@ def synth_corpus(
     fundamental band than class 1 and modulate faster.
 
     Each clip goes to on_clip(entry, clip) in speaker order as soon as it is
-    made, and is not kept. With jobs > 1, jobs workers render the draws made
-    here, at most 2 * jobs at a time, into the same samples as with jobs = 1.
+    made, and is not kept. Every random draw is made here, in one order;
+    render(_render_clip, draws) turns them into samples, in order. Any map
+    gives the same samples, for _render_clip uses no generator: the builtin
+    renders each clip only once the one before it has been handed over.
     """
     if n_speakers_per_class < 1:
         raise ValueError("need at least one speaker per class")
@@ -282,27 +281,13 @@ def synth_corpus(
     labels = [0] * n_speakers_per_class + [1] * n_speakers_per_class
     draws = (_draw_clip(rng, label, rng.uniform(duration_s / 2.0, duration_s), sample_rate) for label in labels)
     entries = []
-    # The default start method, fork on Linux as for cli._map's pool: a forked worker keeps the
-    # malloc thresholds, and the executor forks its workers before starting its own thread.
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        rendered = _in_order(pool, _render_clip, draws, 2 * jobs) if pool else map(_render_clip, draws)
-        for idx, label in enumerate(labels):
-            clip = AudioClip(next(rendered), sample_rate, f"{split}{idx:03d}", label)
-            entries.append(ManifestEntry(clip.speaker_id, "", label, split, clip.duration_s))
-            on_clip(entries[-1], clip)
-            del clip  # before the next one is rendered
+    rendered = render(_render_clip, draws)
+    for idx, label in enumerate(labels):
+        clip = AudioClip(next(rendered), sample_rate, f"{split}{idx:03d}", label)
+        entries.append(ManifestEntry(clip.speaker_id, "", label, split, clip.duration_s))
+        on_clip(entries[-1], clip)
+        del clip  # before the next one is rendered
     return CorpusManifest(entries)
-
-
-def _in_order(pool: Executor, fn: Callable, items: Iterable, limit: int) -> Iterator:
-    """fn of each item, in order, with at most limit submitted and not yet yielded (pool.map submits all)."""
-    in_flight: deque[Future] = deque()
-    for item in items:
-        if len(in_flight) == limit:
-            yield in_flight.popleft().result()
-        in_flight.append(pool.submit(fn, item))
-    while in_flight:
-        yield in_flight.popleft().result()
 
 
 MANIFEST_HEADER = ["speaker_id", "path", "label", "split", "duration_s"]

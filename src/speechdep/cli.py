@@ -20,6 +20,7 @@ import ctypes
 import json
 import multiprocessing
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,6 @@ import numpy as np
 
 from .audio_io import (
     CorpusManifest,
-    WavError,
     load_manifest,
     load_wav,
     save_manifest,
@@ -132,51 +132,11 @@ class RunConfig:
         lines = [f"{key} = {self.values[key]}" for key in sorted(self.values)]
         return "\n".join(lines) + "\n"
 
-    def stft_config(self) -> StftConfig:
-        return self._build(
-            StftConfig,
-            window_s=self["stft.window_s"],
-            hop_s=self["stft.hop_s"],
-            n_fft=self["stft.n_fft"],
-        )
-
-    def network_config(self, freq_bins: int, time_steps: int) -> NetworkConfig:
-        return self._build(
-            NetworkConfig,
-            freq_bins=freq_bins,
-            time_steps=time_steps,
-            filters=self["network.filters"],
-            pool_kernel=self["network.pool_kernel"],
-            pool_stride=self["network.pool_stride"],
-            pool_pad=self["network.pool_pad"],
-            hidden=self["network.hidden"],
-        )
-
-    def train_config(self) -> TrainConfig:
-        return self._build(
-            TrainConfig,
-            epochs=self["train.epochs"],
-            batch_size=self["train.batch_size"],
-            lr_start=self["train.lr_start"],
-            lr_end=self["train.lr_end"],
-            rho=self["train.rho"],
-            eps=self["train.eps"],
-            seed=self["seed"],
-        )
-
-    def ensemble_config(self, machines: int | None = None) -> EnsembleConfig:
-        return self._build(
-            EnsembleConfig,
-            machines=self["ensemble.machines"] if machines is None else machines,
-            method=self["ensemble.method"],
-            threshold=self["ensemble.threshold"],
-            tie_seed=self["ensemble.tie_seed"],
-        )
-
-    @staticmethod
-    def _build(factory, **kwargs):
+    def section(self, factory, prefix: str, **given):
+        """factory(...) with each `prefix.*` value as the field its suffix names, and the given fields."""
+        fields = {key.partition(".")[2]: v for key, v in self.values.items() if key.startswith(prefix + ".")}
         try:
-            return factory(**kwargs)
+            return factory(**{**fields, **given})
         except ValueError as exc:
             raise CliError("config", str(exc)) from None
 
@@ -192,6 +152,9 @@ def _resolve_config(args) -> RunConfig:
         cfg.set(key.strip(), raw.strip())
     if args.seed is not None:
         cfg.values["seed"] = int(args.seed)
+    for key, low in (("seed", 0), ("ensemble.tie_seed", 0), ("sampling.eval_cap", 1)):
+        if cfg[key] < low:
+            raise CliError("config", f"{key} must be >= {low}, got {cfg[key]}")
     return cfg
 
 
@@ -214,17 +177,28 @@ def _call_inherited(task):
     return fn(inherited, task)
 
 
-def _map(fn, tasks, jobs: int, inherited) -> list:
-    """[fn(inherited, task) for task in tasks], in `jobs` forked worker processes when jobs > 1.
+def _map(fn, tasks, jobs: int, inherited):
+    """Yield fn(inherited, task) for each task in order, in `jobs` forked worker processes when jobs > 1.
 
-    Only the tasks and results are pickled: the workers are forked with
-    `inherited` already in memory and share its pages copy-on-write.
+    At jobs = 1 a task is taken only once the result before it has been; above
+    that at most 2 * jobs tasks are submitted and not yet yielded, so a lazy
+    task stream stays bounded. Only the tasks and results are pickled: the
+    workers are forked with `inherited` already in memory and share its pages
+    copy-on-write.
     """
     if jobs == 1:
-        return [fn(inherited, task) for task in tasks]
+        yield from (fn(inherited, task) for task in tasks)
+        return
+    # fork keeps the malloc thresholds; the executor forks every worker before it starts its own thread
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(jobs, mp_context=fork, initializer=_inherit, initargs=(fn, inherited)) as pool:
-        return list(pool.map(_call_inherited, tasks))
+        in_flight = deque()
+        for task in tasks:
+            if len(in_flight) == 2 * jobs:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(_call_inherited, task))
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 # ---------------------------------------------------------------- synth
@@ -238,6 +212,9 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         entry.path = f"wav/{entry.speaker_id}.wav"
         write_wav(out_dir / entry.path, clip)
 
+    def render(fn, draws):  # map(fn, draws) through _map
+        return _map(lambda f, draw: f(draw), draws, jobs, fn)
+
     entries = []
     for split, per_class, split_seed in (
         ("train", cfg["synth.speakers_per_class"], seed),
@@ -250,7 +227,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
             seed=split_seed,
             split=split,
             on_clip=write,
-            jobs=jobs,
+            render=render,
         )
         entries += manifest.entries
     save_manifest(out_dir / "manifest.csv", CorpusManifest(entries))
@@ -264,7 +241,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
 
 # ------------------------------------------------------------ featurize
 
-def _crop_count(entry_path: Path, cfg_values: dict) -> tuple[int, int]:
+def _crop_count(cfg_values: dict, entry_path: Path) -> tuple[int, int]:
     """Crops available in one clip after silence trimming, and its sample rate."""
     clip = trim_silence(
         load_wav(entry_path), cfg_values["trim.frame_s"], cfg_values["trim.floor_db"]
@@ -302,7 +279,7 @@ def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, 
 
 
 def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int) -> dict:
-    stft_cfg = cfg.stft_config()
+    stft_cfg = cfg.section(StftConfig, "stft")
     if not manifest_path.is_file():
         raise CliError("io", f"manifest not found: {manifest_path}")
     manifest = load_manifest(manifest_path)
@@ -316,11 +293,12 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
     if not train_entries:
         raise CliError("data", f"manifest {manifest_path} has no train split")
 
+    entries = train_entries + test_entries
+    paths = [manifest_dir / e.path for e in entries]
     counts = {}
     first_rate = None
-    for e in train_entries + test_entries:
-        path = manifest_dir / e.path
-        counts[e.speaker_id], rate = _crop_count(path, cfg.values)
+    for e, path, (count, rate) in zip(entries, paths, _map(_crop_count, paths, jobs, cfg.values)):
+        counts[e.speaker_id] = count
         if first_rate is None:
             first_path, first_rate = path, rate
         elif rate != first_rate:
@@ -384,11 +362,12 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
         raise CliError("io", f"feature cache not found: {cache_path}")
     # every ensemble, train and network value is checked before the cache is read;
     # the network shape checks pass at (1, 1)
-    machines = cfg.ensemble_config().machines
-    train_cfg = cfg.train_config()
-    cfg.network_config(1, 1)
+    machines = cfg.section(EnsembleConfig, "ensemble").machines
+    train_cfg = cfg.section(TrainConfig, "train", seed=cfg["seed"])
+    cfg.section(NetworkConfig, "network", freq_bins=1, time_steps=1)
     features = _read_cache(cache_path)
-    net_cfg = cfg.network_config(*features.record_shape)
+    freq_bins, time_steps = features.record_shape
+    net_cfg = cfg.section(NetworkConfig, "network", freq_bins=freq_bins, time_steps=time_steps)
     # at most `jobs` contiguous groups, sizes differing by at most one
     groups = [g.tolist() for g in np.array_split(np.arange(machines), jobs) if g.size]
     inherited = (features, net_cfg, train_cfg, out_dir)
@@ -431,7 +410,7 @@ def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: floa
 def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     del jobs  # a handful of batched forward passes; parallelism buys nothing
     model_paths = _model_paths(models_dir, cache_path)
-    ens_cfg = cfg.ensemble_config(machines=len(model_paths))
+    ens_cfg = cfg.section(EnsembleConfig, "ensemble", machines=len(model_paths))
     preds, truth = _pool_predictions(model_paths, cache_path, ens_cfg.threshold)
     fused = fuse(preds, ens_cfg)
     report = metrics(confusion(truth, fused))
@@ -473,7 +452,7 @@ def _parse_m_values(raw: str, pool_size: int) -> list[int]:
 
 def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     model_paths = _model_paths(models_dir, cache_path)
-    threshold = cfg.ensemble_config(machines=len(model_paths)).threshold
+    threshold = cfg.section(EnsembleConfig, "ensemble", machines=len(model_paths)).threshold
     m_values = _parse_m_values(cfg["curve.m_values"], len(model_paths))
     n_combinations = cfg["curve.n_combinations"]
     if n_combinations < 1:
@@ -658,9 +637,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
-        return 2
-    except WavError as exc:
-        print(f"error:data: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error:data: {exc}", file=sys.stderr)

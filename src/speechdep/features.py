@@ -34,14 +34,11 @@ class StftConfig:
     window_s: float = 0.064
     hop_s: float = 0.032
     n_fft: int = 1024
-    window_kind: str = "hamming"
 
     def __post_init__(self):
         for name, value in (("window_s", self.window_s), ("hop_s", self.hop_s)):
             if not 0.0 < value < np.inf:  # false for nan too
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.window_kind != "hamming":
-            raise ValueError(f"unsupported window kind {self.window_kind!r}")
 
     def window_samples(self, sample_rate: int) -> int:
         return int(round(self.window_s * sample_rate))

@@ -18,16 +18,18 @@ from hypothesis import strategies as st
 from speechdep import cli
 from speechdep.audio_io import AudioClip, load_wav, write_wav
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
-from speechdep.ensemble import fuse_method1, read_predictions_csv
+from speechdep.ensemble import EnsembleConfig, fuse_method1, read_predictions_csv
 from speechdep.evaluation import confusion, metrics, prediction_set_for, speaker_labels
 from speechdep.features import (
     CACHE_MAGIC,
     CACHE_VERSION,
     LogSpectrogram,
+    StftConfig,
     read_feature_cache,
     write_feature_cache,
 )
 from speechdep.network import NetworkConfig, init_params, load_model, save_model
+from speechdep.trainer import TrainConfig
 
 SEED = 3
 FAST = [
@@ -328,6 +330,63 @@ def test_schema_types_are_consistent():
         assert isinstance(default, kind), key
 
 
+# a valid value for every key of a section that RunConfig.section builds, none of them its default
+_SECTION_VALUES = {
+    "stft.window_s": 0.05, "stft.hop_s": 0.02, "stft.n_fft": 512,
+    "network.filters": 7, "network.pool_kernel": 3, "network.pool_stride": 2, "network.pool_pad": 5,
+    "network.hidden": 9,
+    "train.epochs": 3, "train.batch_size": 4, "train.lr_start": 0.9, "train.lr_end": 0.02, "train.rho": 0.8,
+    "train.eps": 1e-7,
+    "ensemble.machines": 6, "ensemble.method": 2, "ensemble.threshold": 0.3, "ensemble.tie_seed": 11,
+}
+
+
+def test_every_section_key_reaches_its_field():
+    sections = {"stft": StftConfig, "network": NetworkConfig, "train": TrainConfig, "ensemble": EnsembleConfig}
+    assert set(_SECTION_VALUES) == {key for key in CONFIG_SCHEMA if key.partition(".")[0] in sections}
+    argv = ["synth", "--out", "unused", *(f"--set={key}={value}" for key, value in _SECTION_VALUES.items())]
+    cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+    given = {"network": {"freq_bins": 13, "time_steps": 17}, "train": {"seed": 19}}
+    for prefix, factory in sections.items():
+        built = cfg.section(factory, prefix, **given.get(prefix, {}))
+        values = {key.partition(".")[2]: v for key, v in _SECTION_VALUES.items() if key.startswith(prefix + ".")}
+        assert len(set(values.values())) == len(values), prefix  # distinct, so no two keys can swap fields
+        for name, value in values.items():
+            assert value != CONFIG_SCHEMA[f"{prefix}.{name}"][1], name
+            assert getattr(built, name) == value, name
+        for name, value in given.get(prefix, {}).items():
+            assert getattr(built, name) == value, name
+
+
+def test_map_at_jobs_1_takes_each_task_only_once_the_last_result_is_taken():
+    pulled = []
+
+    def tasks():
+        for t in range(5):
+            pulled.append(t)
+            yield t
+
+    results = cli._map(lambda inherited, t: inherited + t, tasks(), 1, 10)
+    assert pulled == []
+    for n, result in enumerate(results, start=1):
+        assert result == 9 + n and len(pulled) == n
+
+
+def test_map_at_jobs_2_keeps_at_most_4_tasks_ahead_of_its_results():
+    pulled = []
+
+    def tasks():
+        for t in range(12):
+            pulled.append(t)
+            yield t
+
+    ahead = []
+    for n, result in enumerate(cli._map(lambda inherited, t: (inherited, t * t), tasks(), 2, "x"), start=1):
+        assert result == ("x", (n - 1) ** 2)
+        ahead.append(len(pulled) - n)
+    assert max(ahead) == 4 and len(ahead) == 12, ahead
+
+
 # SHA-256 of the artifacts of a fixed tiny run (float64 numpy on x86-64 with
 # OpenBLAS). Any change to the training or prediction arithmetic moves them;
 # a change that is meant to move them must say so and record the new values.
@@ -440,9 +499,10 @@ def test_mixed_sample_rates_are_a_data_error(pipe, tmp_path, capsys):
     first, odd = (corpus / row.split(",")[1] for row in (rows[0], rows[2]))
     clip = load_wav(odd)
     write_wav(odd, AudioClip(clip.samples[::2], 8000, clip.speaker_id))
-    code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
-    line = _assert_one_error_line(code, capsys, "data")
-    assert f"{odd} is sampled at 8000 Hz, but {first} at 16000 Hz" in line
+    for jobs in (1, 2):  # the workers count crops ahead, but the first mismatch in manifest order is named
+        code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", "--jobs", jobs, *FAST)
+        line = _assert_one_error_line(code, capsys, "data")
+        assert f"{odd} is sampled at 8000 Hz, but {first} at 16000 Hz" in line
 
 
 @pytest.fixture(scope="module")
@@ -564,8 +624,9 @@ def test_sample_rate_too_low_is_one_data_error_line(pipe, tmp_path, capsys, rate
     for wav in (corpus / "wav").glob("*.wav"):
         clip = load_wav(wav)
         write_wav(wav, AudioClip(clip.samples[:: 16000 // rate], rate, clip.speaker_id))
-    code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *FAST)
-    assert f"at {rate} Hz" in _assert_one_error_line(code, capsys, "data")
+    for jobs in (1, 2):  # under --jobs 2 the error is raised in a worker
+        code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", "--jobs", jobs, *FAST)
+        assert f"at {rate} Hz" in _assert_one_error_line(code, capsys, "data")
 
 
 def test_crop_shorter_than_one_sample_is_one_data_error_line(pipe, tmp_path, capsys):
@@ -701,4 +762,23 @@ def test_bad_stft_value_is_one_config_error_line_before_any_clip_is_read(pipe, t
     calls = _forbid(monkeypatch, "load_wav")
     code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", "--set", setting)
     assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "f").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "arg, key",
+    [
+        ("--set=sampling.eval_cap=0", "eval_cap"),
+        ("--set=sampling.eval_cap=-1", "eval_cap"),
+        ("--set=seed=-1", "seed"),
+        ("--seed=-1", "seed"),
+        ("--set=ensemble.tie_seed=-3", "tie_seed"),
+    ],
+)
+def test_out_of_range_seed_or_cap_is_one_config_error_line_before_any_clip_is_read(
+    pipe, tmp_path, capsys, monkeypatch, arg, key
+):
+    calls = _forbid(monkeypatch, "load_wav")
+    code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", arg)
+    assert key in _assert_one_error_line(code, capsys, "config")
     assert calls == [] and not list((tmp_path / "f").glob("*"))
