@@ -321,5 +321,7 @@ def load_manifest(path) -> CorpusManifest:
                 duration = float(duration_s)
             except ValueError:
                 raise ValueError(f"{where}: duration_s is not a number: {duration_s!r}") from None
+            if not (np.isfinite(duration) and duration > 0.0):
+                raise ValueError(f"{where}: duration_s must be a positive finite number, got {duration_s!r}")
             entries.append(ManifestEntry(speaker_id, clip_path, int(label), split, duration))
     return CorpusManifest(entries)

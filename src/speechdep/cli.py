@@ -21,6 +21,7 @@ import json
 import multiprocessing
 import sys
 from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ from .evaluation import (
     write_metrics_csv,
 )
 from .features import FeatureSet, StftConfig, featurize_raw, read_feature_cache, write_feature_cache
-from .network import NetworkConfig, load_model, save_model
+from .network import NetworkConfig, NetworkParams, load_model, save_model
 from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
 from .trainer import TrainConfig, TrainingDivergedError, train, write_history_csv
 
@@ -391,19 +392,32 @@ def _model_paths(models_dir: Path, cache_path: Path) -> list[Path]:
     return model_paths
 
 
+class _ModelPool(Sequence):
+    """The pool's parameters, machine m read from its file each time m is indexed; none is held."""
+
+    def __init__(self, model_paths: list[Path], net_cfg: NetworkConfig):
+        self.model_paths, self.net_cfg = model_paths, net_cfg
+
+    def __len__(self) -> int:
+        return len(self.model_paths)
+
+    def __getitem__(self, m: int) -> NetworkParams:
+        path = self.model_paths[m]
+        cfg, params = load_model(path)
+        if cfg != self.net_cfg:
+            raise CliError("data", f"model {path} disagrees with the rest of the pool")
+        return params
+
+
 def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: float):
-    """The pool's thresholded predictions on the cache, and every speaker's true label."""
+    """The pool's thresholded predictions on the cache, and every speaker's true label; one model held at a time."""
     features = _read_cache(cache_path)
-    loaded = [load_model(p) for p in model_paths]
-    net_cfg = loaded[0][0]
+    net_cfg = load_model(model_paths[0])[0]  # its params are dropped at once
     shape = (net_cfg.freq_bins, net_cfg.time_steps)
     if features.record_shape != shape:
         raise CliError("data", f"cache features {features.record_shape} do not fit model {shape}")
-    for path, (other_cfg, _) in zip(model_paths, loaded):
-        if other_cfg != net_cfg:
-            raise CliError("data", f"model {path} disagrees with the rest of the pool")
     truth = speaker_labels(features)
-    preds = prediction_set_for([params for _, params in loaded], net_cfg, features, threshold)
+    preds = prediction_set_for(_ModelPool(model_paths, net_cfg), net_cfg, features, threshold)
     return preds, truth
 
 

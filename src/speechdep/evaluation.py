@@ -12,6 +12,7 @@ A zero denominator yields 0.0 and the metric name is recorded in the
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,9 +144,13 @@ def kfold_split(labels, k: int, seed: int = 0) -> FoldPlan:
 
 
 def predict_speaker_probs(
-    pool: list[NetworkParams], net_cfg: NetworkConfig, features: FeatureSet, batch_size: int = 256
+    pool: Sequence[NetworkParams], net_cfg: NetworkConfig, features: FeatureSet, batch_size: int = 256
 ) -> np.ndarray:
     """Class-1 probabilities of every machine: (machines, crops), crops in feature order.
+
+    Batches are the outer loop and machines the inner one, so the pool is
+    indexed once per machine per batch: a pool that reads each machine from
+    its file when indexed holds one machine's parameters at a time.
 
     Each batch is normalized straight into a new (freq_bins, batch*time_steps)
     conv operand and handed to every machine as a (batch, freq_bins,
@@ -155,8 +160,8 @@ def predict_speaker_probs(
     probs = np.empty((len(pool), len(features)))
     for lo in range(0, len(features), batch_size):
         xs = features.batch(range(lo, min(lo + batch_size, len(features))))
-        for m, params in enumerate(pool):
-            probs[m, lo : lo + len(xs)] = forward_batch(params, xs, net_cfg).probs
+        for m in range(len(pool)):  # pool[m] is dropped once its batch is predicted
+            probs[m, lo : lo + len(xs)] = forward_batch(pool[m], xs, net_cfg).probs
         del xs  # free this batch's operand before the next one is allocated
     return probs
 
@@ -171,7 +176,7 @@ def speaker_labels(features: FeatureSet) -> dict[str, int]:
 
 
 def prediction_set_for(
-    pool: list[NetworkParams], net_cfg: NetworkConfig, features: FeatureSet, threshold: float = 0.5
+    pool: Sequence[NetworkParams], net_cfg: NetworkConfig, features: FeatureSet, threshold: float = 0.5
 ) -> PredictionSet:
     """The pool's predictions on features as one PredictionSet; machine m is row m."""
     probs = predict_speaker_probs(pool, net_cfg, features)

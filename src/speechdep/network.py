@@ -8,7 +8,7 @@ per j < ceil(time_steps / stride); a window that runs past the end covers only
 the steps that exist, which equals zero padding because the pooled input is
 post-ReLU non-negative. There is one pass: forward_batch and backward_batch
 over a (batch, freq_bins, time_steps) stack, scored by batch_loss, serve
-training, prediction and the gradient check alike. All math is float64.
+training, prediction and the tests' finite-difference check alike. All math is float64.
 forward_batch computes only what prediction needs: the ReLU runs in place in
 the conv GEMM's buffer and pooling keeps the window maxima but not their
 argmax, which backward_batch derives from the cached activation and maxima.
@@ -136,28 +136,6 @@ def _sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def numerical_gradient(
-    params: NetworkParams, x: np.ndarray, y: int, cfg: NetworkConfig, h: float = 1e-5
-) -> NetworkParams:
-    """Central finite differences of batch_loss on the batch of one (x, y), over every parameter."""
-    xs, ys = np.asarray(x, dtype=np.float64)[None], [y]
-
-    def loss_at(p: NetworkParams) -> float:
-        return batch_loss(forward_batch(p, xs, cfg).probs, ys)
-
-    work, grads = params.copy(), NetworkParams(cfg)
-    flat = work.vector
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = loss_at(work)
-        flat[i] = orig - h
-        down = loss_at(work)
-        flat[i] = orig
-        grads.vector[i] = (up - down) / (2.0 * h)
-    return grads
 
 
 # Layout invariant: the conv GEMM yields (filters, batch*time_steps), so every

@@ -37,12 +37,12 @@ from speechdep.network import (
     forward_batch,
     init_params,
     load_model,
-    numerical_gradient,
 )
 from speechdep.sampling import crop, plan_balanced
 from speechdep.trainer import AdadeltaState, adadelta_step
 
 from feature_sets import feature_set
+from gradient_check import numerical_gradient
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 

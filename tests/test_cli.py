@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from speechdep import cli
 from speechdep.audio_io import AudioClip, load_wav, write_wav
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
-from speechdep.ensemble import EnsembleConfig, fuse_method1, read_predictions_csv
+from speechdep.ensemble import EnsembleConfig, fuse_method1, read_predictions_csv, write_predictions_csv
 from speechdep.evaluation import confusion, metrics, prediction_set_for, speaker_labels
 from speechdep.features import (
     CACHE_MAGIC,
@@ -454,8 +454,11 @@ def test_zero_record_cache_is_a_data_error(pipe, tmp_path, capsys, jobs):
         (lambda row: row + ["extra"], "expected 5 columns, got 6"),
         (lambda row: row[:2] + ["2"] + row[3:], "label must be 0 or 1"),
         (lambda row: row[:4] + ["long"], "duration_s is not a number"),
+        (lambda row: row[:4] + ["nan"], "duration_s must be a positive finite number, got 'nan'"),
+        (lambda row: row[:4] + ["inf"], "duration_s must be a positive finite number, got 'inf'"),
+        (lambda row: row[:4] + ["-1"], "duration_s must be a positive finite number, got '-1'"),
     ],
-    ids=["3 columns", "6 columns", "label 2", "bad duration"],
+    ids=["3 columns", "6 columns", "label 2", "bad duration", "nan duration", "inf duration", "negative duration"],
 )
 def test_bad_manifest_row_is_a_data_error(pipe, tmp_path, capsys, mangle, message):
     header, *rows = (pipe.corpus / "manifest.csv").read_text().splitlines()
@@ -615,6 +618,87 @@ def test_damaged_model_is_one_data_error_line(small_cache, kind, where, value):
         )
     lines = err.getvalue().splitlines()
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error:data: "), (kind, lines)
+
+
+def _pool(models, nets):
+    """model_000.sdm, model_001.sdm, ... of freshly initialized networks, one per config, seeded by position."""
+    models.mkdir()
+    for m, net in enumerate(nets):
+        save_model(models / f"model_{m:03d}.sdm", net, init_params(net, m))
+    return sorted(models.glob("model_*.sdm"))
+
+
+def test_evaluate_reads_each_model_once_per_batch_and_writes_the_in_memory_pool_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(21)
+    cache = tmp_path / "test.lspg"  # 300 records: a full 256-crop prediction batch and a partial one
+    write_feature_cache(
+        cache,
+        [
+            LogSpectrogram(rng.normal(size=(4, 6)).astype(np.float32), f"spk{i % 10}", i // 10, i % 2)
+            for i in range(300)
+        ],
+    )
+    net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
+    paths = _pool(tmp_path / "models", [net] * 3)
+    loaded = [load_model(path)[1] for path in paths]
+    features = read_feature_cache(cache)
+    write_predictions_csv(tmp_path / "expected.csv", prediction_set_for(loaded, net, features))
+
+    reads = []
+    load = cli.load_model
+    monkeypatch.setattr(cli, "load_model", lambda path: reads.append(path.name) or load(path))
+    assert _run("evaluate", "--models", tmp_path / "models", "--cache", cache, "--out", tmp_path / "e") == 0
+    assert (tmp_path / "e" / "predictions.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    # the config read of model 0, then every model for each of the two batches, in pool order
+    assert reads == ["model_000.sdm"] + 2 * [path.name for path in paths], reads
+
+
+def test_evaluate_memory_is_about_one_model_whatever_the_pool_size(tmp_path):
+    """A pool of 8 peaks less than one model's parameters above a pool of 2: models are never all held."""
+    rng = np.random.default_rng(22)
+    cache = tmp_path / "test.lspg"  # 6 KB of features against 1 MB models
+    write_feature_cache(
+        cache,
+        [LogSpectrogram(rng.normal(size=(8, 8)).astype(np.float32), f"spk{i % 4}", i // 4, i % 2) for i in range(24)],
+    )
+    net = NetworkConfig(freq_bins=8, time_steps=8, filters=64, pool_kernel=1, pool_stride=1, hidden=256)
+    paths = _pool(tmp_path / "eight", [net] * 8)
+    (tmp_path / "two").mkdir()
+    for path in paths[:2]:
+        shutil.copy(path, tmp_path / "two" / path.name)
+    cfg = RunConfig.defaults()
+    for out in ("warm", "two_out", "eight_out"):
+        (tmp_path / out).mkdir()
+    cli.cmd_evaluate(cfg, tmp_path / "two", cache, tmp_path / "warm", 1)  # first-call imports are not models
+    peaks = {}
+    for pool in ("two", "eight"):
+        tracemalloc.start()
+        try:
+            cli.cmd_evaluate(cfg, tmp_path / pool, cache, tmp_path / f"{pool}_out", 1)
+            peaks[pool] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    model_bytes = 8 * net.n_params
+    assert peaks["eight"] - peaks["two"] < model_bytes, (peaks, model_bytes)
+    assert peaks["eight"] < 3 * model_bytes, (peaks, model_bytes)  # a load's file bytes and its vector, no more
+
+
+@pytest.mark.parametrize("damage", ["other hidden", "flipped byte"])
+@pytest.mark.parametrize("stage", ["evaluate", "curve"])
+def test_bad_second_model_is_one_data_error_line_and_writes_nothing(small_cache, tmp_path, capsys, stage, damage):
+    net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
+    other = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=5)
+    models = tmp_path / "models"
+    _, second = _pool(models, [net, other if damage == "other hidden" else net])
+    if damage == "flipped byte":
+        blob = bytearray(second.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        second.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    code = _run(stage, "--models", models, "--cache", small_cache.good, "--out", out, *_SMALL_RUN)
+    line = _assert_one_error_line(code, capsys, "data")
+    assert "model_001" in line and "model_000" not in line, line
+    assert not any((out / name).exists() for name in ("predictions.csv", "metrics.csv", "curve.csv"))
 
 
 @pytest.mark.parametrize("rate", [8, 1])  # an 8 Hz STFT hop and a 1 Hz trim frame round to 0 samples

@@ -9,11 +9,12 @@ from speechdep.network import (
     forward_batch,
     init_params,
     load_model,
-    numerical_gradient,
     save_model,
 )
 from speechdep import network
 from speechdep.network import _pool_argmax, _pool_max, _sigmoid  # the oracle scores logits with the network's own sigmoid
+
+from gradient_check import numerical_gradient
 
 PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 
