@@ -50,7 +50,7 @@ from .evaluation import (
     prediction_set_for,
     write_metrics_csv,
 )
-from .features import FeatureSet, StftConfig, featurize_raw, read_feature_cache, write_feature_cache
+from .features import StftConfig, featurize_raw, open_feature_cache, read_feature_cache, write_feature_cache
 from .network import NetworkConfig, NetworkParams, load_model, save_model
 from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
 from .trainer import TrainConfig, TrainingDivergedError, train, write_history_csv
@@ -336,13 +336,6 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
 
 # ---------------------------------------------------------------- train
 
-def _read_cache(cache_path) -> FeatureSet:
-    features = read_feature_cache(cache_path)
-    if not features:
-        raise CliError("data", f"feature cache {cache_path} holds no records")
-    return features
-
-
 def _train_group(inherited, machines) -> list[tuple[str, float]]:
     """Train a group of machines in lockstep and write their artifacts in machine order."""
     features, net_cfg, train_cfg, out_dir = inherited
@@ -366,7 +359,7 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
     machines = cfg.section(EnsembleConfig, "ensemble").machines
     train_cfg = cfg.section(TrainConfig, "train", seed=cfg["seed"])
     cfg.section(NetworkConfig, "network", freq_bins=1, time_steps=1)
-    features = _read_cache(cache_path)
+    features = read_feature_cache(cache_path)
     freq_bins, time_steps = features.record_shape
     net_cfg = cfg.section(NetworkConfig, "network", freq_bins=freq_bins, time_steps=time_steps)
     # at most `jobs` contiguous groups, sizes differing by at most one
@@ -410,8 +403,8 @@ class _ModelPool(Sequence):
 
 
 def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: float):
-    """The pool's thresholded predictions on the cache, and every speaker's true label; one model held at a time."""
-    features = _read_cache(cache_path)
+    """The pool's thresholded predictions and every speaker's true label; one model and one batch held at a time."""
+    features = open_feature_cache(cache_path)
     net_cfg = load_model(model_paths[0])[0]  # its params are dropped at once
     shape = (net_cfg.freq_bins, net_cfg.time_steps)
     if features.record_shape != shape:

@@ -6,12 +6,14 @@ the non-negative FFT bins, and the frame count is floor(len / hop) with the
 tail frames zero-padded to the window length.
 
 The cache file stores pre-normalization log-magnitudes as float32, so the
-normalization strategy can change without re-extraction. The reader holds a
-cache as one float32 block (a FeatureSet) and normalizes a batch at a time,
-straight into the network's input buffer. Layout (little-endian): magic
-``LSPG``, version u16, freq_bins u32, time_steps u32, record count u32, then
-per record a u16 length-prefixed UTF-8 speaker id, crop_index u32, label u8,
-and freq_bins * time_steps float32 values in row-major (frequency-major) order.
+normalization strategy can change without re-extraction. read_feature_cache
+holds a cache as one float32 block; open_feature_cache holds only its record
+headers and reads a record's values when a batch needs them. Either set is a
+FeatureSet, which normalizes a batch at a time straight into the network's
+input buffer. Layout (little-endian): magic ``LSPG``, version u16, freq_bins
+u32, time_steps u32, record count u32, then per record a u16 length-prefixed
+UTF-8 speaker id, crop_index u32, label u8, and freq_bins * time_steps float32
+values in row-major (frequency-major) order.
 """
 
 from __future__ import annotations
@@ -151,34 +153,34 @@ def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
 
 
 def _minmax_terms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record lo and hi - lo of minmax_normalize, in float64; hi - lo is 0.0 where hi == lo."""
-    lo = block.min(axis=(1, 2)).astype(np.float64)  # min and max are exact in any float dtype
-    hi = block.max(axis=(1, 2)).astype(np.float64)
+    """Per-record lo and hi - lo of minmax_normalize over the last two axes, in float64; 0.0 where hi == lo."""
+    lo = block.min(axis=(-2, -1)).astype(np.float64)  # min and max are exact in any float dtype
+    hi = block.max(axis=(-2, -1)).astype(np.float64)
     with np.errstate(invalid="ignore"):  # inf - inf of an all-inf record, whose span is 0.0 anyway
         return lo, np.where(hi == lo, 0.0, hi - lo)
 
 
 @dataclass(eq=False)
 class FeatureSet(Sequence):
-    """Records of one shape, held as one (N, freq_bins, time_steps) block.
+    """Records of one shape: one (N, freq_bins, time_steps) block, or a cache file's _CacheRecords.
 
-    The network input of record i is (float64(block[i]) - lo[i]) / span[i],
-    minmax_normalize's arithmetic, with lo and span taken from the block when
-    the set is built; span 0.0 marks a constant record, which maps to zeros.
-    Indexing yields LogSpectrogram records: float64 normalized copies, or
-    views of the block when normalized is False. A slice yields take() of its rows.
+    The network input of record i is (float64(block[i]) - lo[i]) / span[i], minmax_normalize's arithmetic;
+    span 0.0 marks a constant record, which maps to zeros. A block's lo and span are taken when the set is
+    built, _CacheRecords' as record i is read: min and max are exact, so they agree. Indexing yields
+    LogSpectrogram records: float64 normalized copies, or block[i] when normalized is False. A slice of a
+    block yields take() of its rows.
     """
 
-    block: np.ndarray
+    block: np.ndarray | _CacheRecords
     speaker_ids: list[str]
     crop_indices: list[int]
     labels: list[int]
     normalized: bool = True
-    lo: np.ndarray = field(init=False, repr=False)
-    span: np.ndarray = field(init=False, repr=False)
+    lo: np.ndarray | None = field(init=False, repr=False)
+    span: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lo, self.span = _minmax_terms(self.block)
+        self.lo, self.span = _minmax_terms(self.block) if isinstance(self.block, np.ndarray) else (None, None)
 
     def __len__(self) -> int:
         return self.block.shape[0]
@@ -220,50 +222,83 @@ class FeatureSet(Sequence):
         buffer = np.empty(size) if out is None else out[:size]
         xs = buffer.reshape(freq_bins, len(rows), time_steps).transpose(1, 0, 2)
         for x, i in zip(xs, rows):
-            if self.span[i] == 0.0:
+            values = self.block[i]
+            lo, span = _minmax_terms(values) if self.lo is None else (self.lo[i], self.span[i])
+            if span == 0.0:
                 x.fill(0.0)
             else:
-                np.subtract(self.block[i], self.lo[i], out=x, dtype=np.float64)
-                np.divide(x, self.span[i], out=x)
+                np.subtract(values, lo, out=x, dtype=np.float64)
+                np.divide(x, span, out=x)
         return xs
+
+
+class _CacheRecords:
+    """A cache file's records, checked by one walk that seeks over every value; indexing reads record i's values.
+
+    The walk keeps each record's speaker id, crop index, label and values offset.
+    """
+
+    def __init__(self, path):
+        self.path, self.speaker_ids, self.crop_indices, self.labels, self.offsets = path, [], [], [], []
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(18)
+            if head[:4] != CACHE_MAGIC:
+                raise ValueError(f"{path}: not a feature cache file")
+            if len(head) < 18:
+                raise ValueError(f"{path}: cut off inside the file header")
+            version, freq_bins, time_steps, count = struct.unpack_from("<HIII", head, 4)
+            if version != CACHE_VERSION:
+                raise ValueError(f"{path}: unsupported cache version {version}")
+            self.shape = (count, freq_bins, time_steps)
+            n_bytes = 4 * freq_bins * time_steps
+            pos = 18
+            for index in range(count):
+                if size < pos + 2:
+                    raise self._cut_off(index)
+                (sid_len,) = struct.unpack("<H", fh.read(2))
+                pos += 2 + sid_len + 5 + n_bytes  # id, crop index, label, values
+                if size < pos:
+                    raise self._cut_off(index)
+                meta = fh.read(sid_len + 5)
+                self.speaker_ids.append(meta[:sid_len].decode("utf-8"))
+                crop_index, label = struct.unpack_from("<IB", meta, sid_len)
+                if label not in (0, 1):
+                    raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
+                self.crop_indices.append(crop_index)
+                self.labels.append(label)
+                self.offsets.append(pos - n_bytes)
+                fh.seek(pos)
+        if pos != size:
+            raise ValueError(f"{path}: {size - pos} trailing bytes")
+        if not count:
+            raise ValueError(f"{path}: the feature cache holds no records")
+
+    def _cut_off(self, index) -> ValueError:
+        return ValueError(f"{self.path}: cut off inside record {index} of {self.shape[0]}")
+
+    def read(self, index: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Record index's values, into out if given; a short read (the file shrank after the walk) raises."""
+        out = np.empty(self.shape[1:], dtype="<f4") if out is None else out
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offsets[index])
+            if fh.readinto(out) != out.nbytes:
+                raise self._cut_off(index)
+        return out
+
+    __getitem__ = read
 
 
 def read_feature_cache(path, normalize: bool = True) -> FeatureSet:
     """Load a cache file into one float32 block; records read normalized unless normalize=False."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(18)
-        if head[:4] != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a feature cache file")
-        if len(head) < 18:
-            raise ValueError(f"{path}: cut off inside the file header")
-        version, freq_bins, time_steps, count = struct.unpack_from("<HIII", head, 4)
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        n_bytes = 4 * freq_bins * time_steps
-        # a file too short for `count` records is cut off inside the first record
-        # beyond this capacity, so the block never outgrows the file
-        capacity = min(count, (size - 18) // (2 + 5 + n_bytes))
-        block = np.empty((capacity, freq_bins, time_steps), dtype="<f4")
-        speaker_ids, crop_indices, labels = [], [], []
-        pos = 18
-        for index in range(count):
-            cut_off = ValueError(f"{path}: cut off inside record {index} of {count}")
-            if size < pos + 2:
-                raise cut_off
-            (sid_len,) = struct.unpack("<H", fh.read(2))
-            pos += 2 + sid_len + 5 + n_bytes  # id, crop index, label, values
-            if size < pos:
-                raise cut_off
-            meta = fh.read(sid_len + 5)
-            speaker_ids.append(meta[:sid_len].decode("utf-8"))
-            crop_index, label = struct.unpack_from("<IB", meta, sid_len)
-            if label not in (0, 1):
-                raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
-            if fh.readinto(block[index]) != n_bytes:
-                raise cut_off
-            crop_indices.append(crop_index)
-            labels.append(label)
-    if pos != size:
-        raise ValueError(f"{path}: {size - pos} trailing bytes")
-    return FeatureSet(block, speaker_ids, crop_indices, labels, normalized=normalize)
+    records = _CacheRecords(path)
+    block = np.empty(records.shape, dtype="<f4")  # the walk has found every record inside the file
+    for index, out in enumerate(block):
+        records.read(index, out)
+    return FeatureSet(block, records.speaker_ids, records.crop_indices, records.labels, normalized=normalize)
+
+
+def open_feature_cache(path) -> FeatureSet:
+    """A cache's records, normalized, with each record's values read from the file only when indexed or batched."""
+    records = _CacheRecords(path)
+    return FeatureSet(records, records.speaker_ids, records.crop_indices, records.labels)

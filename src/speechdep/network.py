@@ -24,6 +24,7 @@ and a trailing CRC32 of everything before it.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -268,16 +269,20 @@ def save_model(path, cfg: NetworkConfig, params: NetworkParams) -> None:
 
 
 def load_model(path) -> tuple[NetworkConfig, NetworkParams]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file")
+    """The config and parameters of a model file; the vector is a view of the one buffer the file is read into."""
     pos = len(MODEL_MAGIC) + _HEADER.size
-    if len(raw) < pos + 4:
-        raise ValueError(f"{path}: {len(raw)} bytes cannot hold the {pos}-byte header and its CRC")
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(memoryview(raw)[:-4]) != stored_crc:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(pos)
+        if head[:4] != MODEL_MAGIC:
+            raise ValueError(f"{path}: not a model file")
+        if size < pos + 4:
+            raise ValueError(f"{path}: {size} bytes cannot hold the {pos}-byte header and its CRC")
+        rest = np.empty(size - pos, dtype=np.uint8)  # sized by the file, never by its unchecked header
+        complete = fh.readinto(rest) == rest.size
+    if not complete or zlib.crc32(rest[:-4], zlib.crc32(head)) != int.from_bytes(rest[-4:], "little"):
         raise ValueError(f"{path}: CRC mismatch, file corrupt")
-    version, fb, ts, nf, pk, ps, pp, nh = _HEADER.unpack_from(raw, len(MODEL_MAGIC))
+    version, fb, ts, nf, pk, ps, pp, nh = _HEADER.unpack_from(head, len(MODEL_MAGIC))
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
     try:
@@ -285,7 +290,6 @@ def load_model(path) -> tuple[NetworkConfig, NetworkParams]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     expected = pos + 8 * cfg.n_params + 4
-    if len(raw) != expected:
-        raise ValueError(f"{path}: {len(raw)} bytes, but its header describes a {expected}-byte model")
-    vector = np.frombuffer(raw, dtype="<f8", count=cfg.n_params, offset=pos).astype(np.float64)
-    return cfg, NetworkParams(cfg, vector)
+    if size != expected:
+        raise ValueError(f"{path}: {size} bytes, but its header describes a {expected}-byte model")
+    return cfg, NetworkParams(cfg, rest[:-4].view("<f8"))

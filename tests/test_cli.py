@@ -25,6 +25,7 @@ from speechdep.features import (
     CACHE_VERSION,
     LogSpectrogram,
     StftConfig,
+    open_feature_cache,
     read_feature_cache,
     write_feature_cache,
 )
@@ -495,6 +496,69 @@ def test_cache_label_byte_is_a_data_error(pipe, tmp_path, capsys):
         assert "record 0 of" in _assert_one_error_line(code, capsys, "data")
 
 
+TINY = ["--set", "synth.speakers_per_class=1", "--set", "synth.test_speakers_per_class=1", "--set", "synth.duration_s=9"]
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A 4-clip corpus, one train and one test speaker per class; its damaged copies are made next to it."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert _run("synth", "--out", root / "corpus", *TINY) == 0
+    return root
+
+
+def _featurize_with(root, name, blob):
+    """featurize over a copy of the tiny corpus whose file `name` holds blob: its exit code and stderr lines."""
+    corpus = root / "damaged"
+    shutil.rmtree(corpus, ignore_errors=True)
+    shutil.copytree(root / "corpus", corpus)
+    (corpus / name).write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", root / "f", *TINY)
+    return code, err.getvalue().splitlines()  # an exception escaping main would fail the test: no traceback
+
+
+def _assert_exit_0_or_one_error_line(code, lines, case):
+    one_line = len(lines) == 1 and re.match(r"error:(usage|config|io|data|train): ", lines[0])
+    assert (code == 0 and not lines) or (code == 2 and one_line), (case, code, lines)
+
+
+@settings(max_examples=60, deadline=None, database=None)  # writes nothing outside pytest's temp dirs
+@given(
+    kind=st.sampled_from(["cut", "flip", "extend"]),
+    clip=st.integers(0, 3),
+    where=st.integers(0, 10**6),
+    value=st.integers(0, 255),
+)
+def test_damaged_wav_under_featurize_is_exit_0_or_one_error_line(tiny_corpus, kind, clip, where, value):
+    name = (tiny_corpus / "corpus" / "manifest.csv").read_text().splitlines()[1 + clip].split(",")[1]
+    blob = bytearray((tiny_corpus / "corpus" / name).read_bytes())
+    if kind == "cut":  # at any byte
+        blob = blob[: where % len(blob)]
+    elif kind == "flip":  # a byte of the 44-byte RIFF, fmt and data headers or of the first samples
+        blob[where % 64] ^= 1 + value % 255
+    else:  # one more chunk, a fmt, data or unknown one, whose size field may run past the file's end
+        body = bytes([value]) * (where % 48)
+        blob += struct.pack("<4sI", (b"fmt ", b"data", b"LIST")[where % 3], len(body) + value % 4) + body
+    code, lines = _featurize_with(tiny_corpus, name, bytes(blob))
+    _assert_exit_0_or_one_error_line(code, lines, (kind, name, where, value))
+
+
+@settings(max_examples=60, deadline=None, database=None)  # writes nothing outside pytest's temp dirs
+@given(kind=st.sampled_from(["cut", "flip", "extend"]), where=st.integers(0, 10**6), value=st.integers(0, 255))
+def test_damaged_manifest_under_featurize_is_exit_0_or_one_error_line(tiny_corpus, kind, where, value):
+    blob = bytearray((tiny_corpus / "corpus" / "manifest.csv").read_bytes())
+    if kind == "cut":  # at any byte
+        blob = blob[: where % len(blob)]
+    elif kind == "flip":  # any byte
+        blob[where % len(blob)] ^= 1 + value % 255
+    else:  # bytes appended, a row's worth at most
+        blob += bytes([value]) * (1 + where % 64)
+    code, lines = _featurize_with(tiny_corpus, "manifest.csv", bytes(blob))
+    _assert_exit_0_or_one_error_line(code, lines, (kind, where, value))
+
+
 def test_mixed_sample_rates_are_a_data_error(pipe, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipe.corpus, corpus)
@@ -576,6 +640,14 @@ def test_damaged_cache_is_one_data_error_line(small_cache, kind, where, value):
             code = _run(*argv)  # an exception escaping main would fail the test: no traceback
         lines = err.getvalue().splitlines()
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error:data: "), (kind, argv[0], lines)
+    # the streamed reader's walk is the in-memory reader's: the same damage, the same message
+    assert _rejection(open_feature_cache, bad) == _rejection(read_feature_cache, bad), kind
+
+
+def _rejection(read, path) -> str:
+    with pytest.raises(ValueError) as raised:
+        read(path)
+    return str(raised.value)
 
 
 @pytest.mark.parametrize(
@@ -651,6 +723,85 @@ def test_evaluate_reads_each_model_once_per_batch_and_writes_the_in_memory_pool_
     assert (tmp_path / "e" / "predictions.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     # the config read of model 0, then every model for each of the two batches, in pool order
     assert reads == ["model_000.sdm"] + 2 * [path.name for path in paths], reads
+
+
+def _cache(path, n, shape, seed):
+    """An n-record cache of random float32 records, 10 speakers with alternating labels."""
+    rng = np.random.default_rng(seed)
+    write_feature_cache(
+        path,
+        [LogSpectrogram(rng.normal(size=shape).astype(np.float32), f"spk{i % 10}", i // 10, i % 2) for i in range(n)],
+    )
+    return path
+
+
+def test_curve_on_a_streamed_cache_writes_the_in_memory_bytes(tmp_path, monkeypatch):
+    cache = _cache(tmp_path / "test.lspg", 300, (4, 6), 23)  # a full 256-crop prediction batch and a partial one
+    net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
+    _pool(tmp_path / "models", [net] * 3)
+    argv = ["curve", "--models", tmp_path / "models", "--cache", cache, "--set", "curve.n_combinations=4"]
+    assert _run(*argv, "--out", tmp_path / "streamed") == 0
+    monkeypatch.setattr(cli, "open_feature_cache", read_feature_cache)  # the whole cache in one block
+    assert _run(*argv, "--out", tmp_path / "in_memory") == 0
+    for name in ("curve.csv", "curve.svg", "run_summary.json"):
+        assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / "in_memory" / name).read_bytes(), name
+
+
+def test_evaluate_memory_does_not_grow_with_the_cache(tmp_path):
+    """600 records peak less than 8 records' values above 300: no record is held past its batch."""
+    shape = (64, 64)
+    caches = {n: _cache(tmp_path / f"{n}.lspg", n, shape, n) for n in (300, 600)}
+    net = NetworkConfig(freq_bins=64, time_steps=64, filters=2, pool_kernel=4, pool_stride=4, hidden=3)
+    _pool(tmp_path / "models", [net] * 2)
+    cfg = RunConfig.defaults()
+    for out in ("warm", "300_out", "600_out"):
+        (tmp_path / out).mkdir()
+    cli.cmd_evaluate(cfg, tmp_path / "models", caches[300], tmp_path / "warm", 1)  # first-call imports
+    peaks = {}
+    for n, cache in caches.items():
+        tracemalloc.start()
+        try:
+            cli.cmd_evaluate(cfg, tmp_path / "models", cache, tmp_path / f"{n}_out", 1)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    record_bytes = 4 * shape[0] * shape[1]
+    assert peaks[600] - peaks[300] < 8 * record_bytes, (peaks, record_bytes)
+
+
+@pytest.mark.parametrize("damage", ["bad magic", "cut in a record", "trailing bytes", "label 2", "cut after the walk"])
+@pytest.mark.parametrize("stage", ["evaluate", "curve"])
+def test_damaged_test_cache_is_one_data_error_line_before_any_prediction(
+    small_cache, tmp_path, capsys, monkeypatch, stage, damage
+):
+    blob, (_, last_label) = small_cache.blob, small_cache.records[2]
+    bad, out = tmp_path / "bad.lspg", tmp_path / "out"
+    damaged, message = {
+        "bad magic": (b"LSPX" + blob[4:], "not a feature cache file"),
+        "cut in a record": (blob[: last_label - 2], "cut off inside record 2 of 3"),
+        "trailing bytes": (blob + bytes(5), "5 trailing bytes"),
+        "label 2": (blob[:last_label] + b"\x02" + blob[last_label + 1 :], "record 2 of 3: label must be 0 or 1, got 2"),
+        "cut after the walk": (blob, "cut off inside record 2 of 3"),
+    }[damage]
+    bad.write_bytes(damaged)
+    reads = []
+    load = cli.load_model
+    monkeypatch.setattr(cli, "load_model", lambda path: reads.append(path.name) or load(path))
+    if damage == "cut after the walk":  # the file shrinks once its headers are checked; a short read is not zeros
+        walk = cli.open_feature_cache
+
+        def walk_then_cut(path):
+            features = walk(path)
+            os.truncate(path, len(blob) - 1)
+            return features
+
+        monkeypatch.setattr(cli, "open_feature_cache", walk_then_cut)
+    code = _run(stage, "--models", small_cache.root / "models", "--cache", bad, "--out", out, *_SMALL_RUN)
+    assert f"{bad}: {message}" in _assert_one_error_line(code, capsys, "data")
+    # a walk's damage stops the stage before any model is read; a cut after it, before any model predicts
+    # (model 0 is read once for its config, which the cache's shape is checked against)
+    assert reads == (["model_000.sdm"] if damage == "cut after the walk" else [])
+    assert not list(out.glob("*"))
 
 
 def test_evaluate_memory_is_about_one_model_whatever_the_pool_size(tmp_path):
@@ -834,7 +985,7 @@ def test_bad_train_or_network_value_is_one_config_error_line_before_the_cache_is
 def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
     small_cache, tmp_path, capsys, monkeypatch, command, setting
 ):
-    calls = _forbid(monkeypatch, "load_model", "read_feature_cache")
+    calls = _forbid(monkeypatch, "load_model", "read_feature_cache", "open_feature_cache")
     argv = ["--models", small_cache.root / "models", "--cache", small_cache.good, "--out", tmp_path / "o"]
     code = _run(command, *argv, "--set", setting)
     assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")

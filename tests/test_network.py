@@ -1,3 +1,7 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -229,6 +233,39 @@ def test_model_file_detects_corruption(tmp_path):
     (tmp_path / "magic.sdm").write_bytes(b"XXXX" + bytes(blob[4:]))
     with pytest.raises(ValueError, match="not a model"):
         load_model(tmp_path / "magic.sdm")
+
+
+def _load_peak(path):
+    """tracemalloc peak of one load_model call, and its result or the ValueError it raised."""
+    tracemalloc.start()
+    try:
+        try:
+            loaded = load_model(path)
+        except ValueError as exc:
+            loaded = exc
+        return tracemalloc.get_traced_memory()[1], loaded
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_load_holds_one_copy_of_the_vector(tmp_path):
+    """The file is read straight into the buffer the vector views: no second copy of the parameters."""
+    cfg = NetworkConfig(freq_bins=8, time_steps=8, filters=64, pool_kernel=1, pool_stride=1, hidden=256)
+    path = tmp_path / "m.sdm"
+    save_model(path, cfg, init_params(cfg, 4))
+    load_model(path)  # first-call allocations are not the load's
+    peak, (_, params) = _load_peak(path)
+    assert peak < 1.2 * params.vector.nbytes, peak / params.vector.nbytes
+    assert params.vector.flags.aligned and params.vector.flags.writeable
+    np.testing.assert_array_equal(params.vector, init_params(cfg, 4).vector)
+    # a header whose hidden size no longer fits the file, under a valid CRC: sized by the file, not the header
+    body = bytearray(path.read_bytes()[:-4])
+    body[4 + 2 + 6 * 4 + 3] = 0x7F  # the top byte of the u32 hidden field
+    crafted = tmp_path / "crafted.sdm"
+    crafted.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    peak, error = _load_peak(crafted)
+    assert isinstance(error, ValueError) and "describes a" in str(error), error
+    assert peak < 1.2 * crafted.stat().st_size, peak
 
 
 def test_network_config_validation():
