@@ -19,6 +19,7 @@ import argparse
 import ctypes
 import json
 import multiprocessing
+import os
 import sys
 from collections import deque
 from collections.abc import Sequence
@@ -50,10 +51,10 @@ from .evaluation import (
     prediction_set_for,
     write_metrics_csv,
 )
-from .features import StftConfig, featurize_raw, open_feature_cache, read_feature_cache, write_feature_cache
+from .features import StftConfig, featurize_raw, open_feature_cache, write_feature_cache
 from .network import NetworkConfig, NetworkParams, load_model, save_model
 from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
-from .trainer import TrainConfig, TrainingDivergedError, train, write_history_csv
+from .trainer import TrainConfig, TrainingDivergedError, planned_bytes, train, write_history_csv
 
 # key -> (type, default); defaults follow the best-performing configuration:
 # 128 filters, pool kernel 5 / stride 4 / pad 4, 128 hidden units, 50 epochs,
@@ -359,9 +360,17 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
     machines = cfg.section(EnsembleConfig, "ensemble").machines
     train_cfg = cfg.section(TrainConfig, "train", seed=cfg["seed"])
     cfg.section(NetworkConfig, "network", freq_bins=1, time_steps=1)
-    features = read_feature_cache(cache_path)
+    features = open_feature_cache(cache_path)  # the header walk; a batch's records are read when it is trained
     freq_bins, time_steps = features.record_shape
     net_cfg = cfg.section(NetworkConfig, "network", freq_bins=freq_bins, time_steps=time_steps)
+    plan = planned_bytes(net_cfg, train_cfg.batch_size, len(features), machines, min(jobs, machines))
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if plan > physical:
+        raise CliError(
+            "config",
+            f"training {machines} machines of {net_cfg.n_params} parameters needs {plan} bytes, "
+            f"more than the {physical} bytes of physical memory",
+        )
     # at most `jobs` contiguous groups, sizes differing by at most one
     groups = [g.tolist() for g in np.array_split(np.arange(machines), jobs) if g.size]
     inherited = (features, net_cfg, train_cfg, out_dir)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -233,42 +234,44 @@ class FeatureSet(Sequence):
 
 
 class _CacheRecords:
-    """A cache file's records, checked by one walk that seeks over every value; indexing reads record i's values.
+    """A cache file's records, checked by one walk that skips every value; indexing reads record i's values.
 
-    The walk keeps each record's speaker id, crop index, label and values offset.
+    The walk keeps each record's speaker id, crop index, label and values offset, and the one read-only
+    descriptor it walked with, closed once the records are dropped. Every read is a pread at a record's
+    offset, so the descriptor has no file position to share and forked workers read through it alike.
     """
 
     def __init__(self, path):
         self.path, self.speaker_ids, self.crop_indices, self.labels, self.offsets = path, [], [], [], []
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(18)
-            if head[:4] != CACHE_MAGIC:
-                raise ValueError(f"{path}: not a feature cache file")
-            if len(head) < 18:
-                raise ValueError(f"{path}: cut off inside the file header")
-            version, freq_bins, time_steps, count = struct.unpack_from("<HIII", head, 4)
-            if version != CACHE_VERSION:
-                raise ValueError(f"{path}: unsupported cache version {version}")
-            self.shape = (count, freq_bins, time_steps)
-            n_bytes = 4 * freq_bins * time_steps
-            pos = 18
-            for index in range(count):
-                if size < pos + 2:
-                    raise self._cut_off(index)
-                (sid_len,) = struct.unpack("<H", fh.read(2))
-                pos += 2 + sid_len + 5 + n_bytes  # id, crop index, label, values
-                if size < pos:
-                    raise self._cut_off(index)
-                meta = fh.read(sid_len + 5)
-                self.speaker_ids.append(meta[:sid_len].decode("utf-8"))
-                crop_index, label = struct.unpack_from("<IB", meta, sid_len)
-                if label not in (0, 1):
-                    raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
-                self.crop_indices.append(crop_index)
-                self.labels.append(label)
-                self.offsets.append(pos - n_bytes)
-                fh.seek(pos)
+        self.fd = fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, fd)
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, 18, 0)
+        if head[:4] != CACHE_MAGIC:
+            raise ValueError(f"{path}: not a feature cache file")
+        if len(head) < 18:
+            raise ValueError(f"{path}: cut off inside the file header")
+        version, freq_bins, time_steps, count = struct.unpack_from("<HIII", head, 4)
+        if version != CACHE_VERSION:
+            raise ValueError(f"{path}: unsupported cache version {version}")
+        self.shape = (count, freq_bins, time_steps)
+        n_bytes = 4 * freq_bins * time_steps
+        pos = 18
+        for index in range(count):
+            if size < pos + 2:
+                raise self._cut_off(index)
+            (sid_len,) = struct.unpack("<H", os.pread(fd, 2, pos))
+            if size < pos + 2 + sid_len + 5 + n_bytes:  # id, crop index, label, values
+                raise self._cut_off(index)
+            meta = os.pread(fd, sid_len + 5, pos + 2)
+            pos += 2 + sid_len + 5 + n_bytes
+            self.speaker_ids.append(meta[:sid_len].decode("utf-8"))
+            crop_index, label = struct.unpack_from("<IB", meta, sid_len)
+            if label not in (0, 1):
+                raise ValueError(f"{path}: record {index} of {count}: label must be 0 or 1, got {label}")
+            self.crop_indices.append(crop_index)
+            self.labels.append(label)
+            self.offsets.append(pos - n_bytes)
         if pos != size:
             raise ValueError(f"{path}: {size - pos} trailing bytes")
         if not count:
@@ -280,13 +283,12 @@ class _CacheRecords:
     def read(self, index: int, out: np.ndarray | None = None) -> np.ndarray:
         """Record index's values, into out if given; a short read (the file shrank after the walk) raises."""
         out = np.empty(self.shape[1:], dtype="<f4") if out is None else out
-        with open(self.path, "rb") as fh:
-            fh.seek(self.offsets[index])
-            if fh.readinto(out) != out.nbytes:
-                raise self._cut_off(index)
+        if os.preadv(self.fd, [out], self.offsets[index]) != out.nbytes:
+            raise self._cut_off(index)
         return out
 
-    __getitem__ = read
+    def __getitem__(self, index: int) -> np.ndarray:
+        return self.read(index)
 
 
 def read_feature_cache(path, normalize: bool = True) -> FeatureSet:

@@ -16,12 +16,15 @@ same config is bitwise identical.
 An ensemble trains in lockstep: every machine draws its shuffle order from
 cfg.seed alone, so each step normalizes its batch once and every machine, in
 seed order, takes its forward, backward and Adadelta step on that operand.
-Each machine does exactly the arithmetic it would do alone. All of the
+Each machine does exactly the arithmetic it would do alone. Memory is per
+batch, not per training set: a FeatureSet that reads its records from a
+cache file when batched holds one batch of values at a time. All of the
 machines' params and Adadelta state (eg2, edx2) stay alive together, about
 3 x n_params x 8 B per machine (14.2 MB at the reference geometry). A step
 adds one gradient vector; the in-place update allocates no vector-sized
-temporary. The CLI's `train --jobs N` splits the machines into at most N
-contiguous groups and trains each group this way in a worker of its own.
+temporary. planned_bytes sums these. The CLI's `train --jobs N` splits the
+machines into at most N contiguous groups and trains each group this way in
+a worker of its own.
 """
 
 from __future__ import annotations
@@ -111,6 +114,17 @@ def adadelta_step(
         delta = -g * np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps)
         edx2[:] = rho * edx2 + (1.0 - rho) * delta * delta
         params.vector[chunk] += lr * delta
+
+
+def planned_bytes(net_cfg: NetworkConfig, batch_size: int, n_records: int, machines: int, groups: int) -> int:
+    """Bytes that training `machines` machines in `groups` concurrent lockstep groups holds at once.
+
+    Params and Adadelta state per machine; one gradient vector and one float64
+    batch operand per group. A step's activations and the records are left out.
+    """
+    vector = 8 * net_cfg.n_params
+    operand = 8 * net_cfg.freq_bins * min(batch_size, n_records) * net_cfg.time_steps
+    return machines * 3 * vector + groups * (vector + operand)
 
 
 def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, features: FeatureSet, batch_size: int = 256):

@@ -25,12 +25,13 @@ from speechdep.features import (
     CACHE_VERSION,
     LogSpectrogram,
     StftConfig,
+    _CacheRecords,
     open_feature_cache,
     read_feature_cache,
     write_feature_cache,
 )
 from speechdep.network import NetworkConfig, init_params, load_model, save_model
-from speechdep.trainer import TrainConfig
+from speechdep.trainer import TrainConfig, planned_bytes
 
 SEED = 3
 FAST = [
@@ -885,18 +886,98 @@ def test_directory_as_wav_path_is_one_io_error_line(pipe, tmp_path, capsys):
 
 def test_train_jobs_2_reads_the_cache_once_in_the_parent(small_cache, tmp_path, monkeypatch):
     log = tmp_path / "reads.log"  # the forked workers inherit the counting wrapper
-    read = cli.read_feature_cache
+    walk = cli.open_feature_cache
 
     def counted(path, *args, **kwargs):
         with log.open("a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return read(path, *args, **kwargs)
+        return walk(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "read_feature_cache", counted)
+    monkeypatch.setattr(cli, "open_feature_cache", counted)
     argv = ["--set", "ensemble.machines=4", "--set", "train.epochs=1", "--jobs", 2]
     assert _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv) == 0
     assert log.read_text().split() == [str(os.getpid())]
     assert len(list((tmp_path / "m").glob("model_*.sdm"))) == 4
+
+
+def test_train_on_a_streamed_cache_writes_the_in_memory_bytes(tmp_path, monkeypatch):
+    cache = _cache(tmp_path / "train.lspg", 300, (4, 6), 24)  # three full 80-crop batches and a partial one
+    argv = [
+        "train", "--cache", cache, "--set", "ensemble.machines=3", "--set", "train.epochs=2",
+        "--set", "network.filters=2", "--set", "network.pool_kernel=2", "--set", "network.pool_stride=2",
+        "--set", "network.hidden=3",
+    ]
+    for jobs in (1, 2):
+        assert _run(*argv, "--jobs", jobs, "--out", tmp_path / f"streamed_{jobs}") == 0
+    monkeypatch.setattr(cli, "open_feature_cache", read_feature_cache)  # the whole cache in one block
+    for jobs in (1, 2):
+        assert _run(*argv, "--jobs", jobs, "--out", tmp_path / f"in_memory_{jobs}") == 0
+    names = sorted(path.name for path in (tmp_path / "in_memory_1").iterdir())
+    assert "model_002.sdm" in names and "history_002.csv" in names and "run_summary.json" in names, names
+    for jobs in (1, 2):
+        for name in names:
+            expected = (tmp_path / "in_memory_1" / name).read_bytes()
+            for run in ("streamed", "in_memory"):
+                assert (tmp_path / f"{run}_{jobs}" / name).read_bytes() == expected, (run, jobs, name)
+
+
+def test_train_memory_does_not_grow_with_the_cache(tmp_path):
+    """600 records peak less than 8 records' values above 300: a step holds only its own batch's records."""
+    shape = (64, 64)
+    caches = {n: _cache(tmp_path / f"{n}.lspg", n, shape, n) for n in (300, 600)}
+    cfg = RunConfig.defaults()
+    for key, value in [
+        ("ensemble.machines", "1"), ("train.epochs", "1"),
+        ("network.filters", "2"), ("network.pool_kernel", "4"), ("network.pool_stride", "4"), ("network.hidden", "3"),
+    ]:
+        cfg.set(key, value)
+    for out in ("warm", "300_out", "600_out"):
+        (tmp_path / out).mkdir()
+    cli.cmd_train(cfg, caches[300], tmp_path / "warm", 1)  # first-call imports
+    peaks = {}
+    for n, cache in caches.items():
+        tracemalloc.start()
+        try:
+            cli.cmd_train(cfg, cache, tmp_path / f"{n}_out", 1)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    record_bytes = 4 * shape[0] * shape[1]
+    assert peaks[600] - peaks[300] < 8 * record_bytes, (peaks, record_bytes)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_train_cache_cut_after_the_walk_is_one_data_error_line(small_cache, tmp_path, capsys, monkeypatch, jobs):
+    cut, out = tmp_path / "cut.lspg", tmp_path / "m"
+    cut.write_bytes(small_cache.blob)
+    walk = cli.open_feature_cache
+
+    def walk_then_cut(path):  # the file shrinks once its headers are checked; a short read is not zeros
+        features = walk(path)
+        os.truncate(path, len(small_cache.blob) - 1)
+        return features
+
+    monkeypatch.setattr(cli, "open_feature_cache", walk_then_cut)
+    argv = ["--set", "ensemble.machines=2", "--set", "train.epochs=1", "--jobs", jobs]
+    code = _run("train", "--cache", cut, "--out", out, *argv)
+    assert f"{cut}: cut off inside record 2 of 3" in _assert_one_error_line(code, capsys, "data")
+    if jobs == 1:
+        assert not list(out.glob("model_*.sdm"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_network_too_big_for_memory_is_one_config_error_line_before_any_record_is_read(
+    small_cache, tmp_path, capsys, monkeypatch, jobs
+):
+    reads = []
+    monkeypatch.setattr(_CacheRecords, "read", lambda records, index, out=None: reads.append(index))
+    big = ["--set", "network.filters=100000000", "--set", "network.hidden=100000000"]
+    code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *_SMALL_RUN, *big, "--jobs", jobs)
+    net = NetworkConfig(freq_bins=4, time_steps=6, filters=100_000_000, hidden=100_000_000)
+    plan = planned_bytes(net, TrainConfig().batch_size, 3, 1, 1)
+    assert plan > 2**50  # more than 1 PiB, whatever the box
+    assert f"needs {plan} bytes" in _assert_one_error_line(code, capsys, "config")
+    assert reads == [] and not list((tmp_path / "m").glob("*"))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -952,7 +1033,7 @@ def _forbid(monkeypatch, *names):
 def test_no_machines_is_one_config_error_line_before_the_cache_is_read(
     small_cache, tmp_path, capsys, monkeypatch, jobs, machines
 ):
-    calls = _forbid(monkeypatch, "read_feature_cache")
+    calls = _forbid(monkeypatch, "open_feature_cache")
     argv = ["--set", f"ensemble.machines={machines}", "--set", "train.epochs=1", "--jobs", jobs]
     code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv)
     assert "machine" in _assert_one_error_line(code, capsys, "config")
@@ -964,7 +1045,7 @@ def test_no_machines_is_one_config_error_line_before_the_cache_is_read(
 def test_bad_train_or_network_value_is_one_config_error_line_before_the_cache_is_read(
     small_cache, tmp_path, capsys, monkeypatch, jobs, setting
 ):
-    calls = _forbid(monkeypatch, "read_feature_cache")
+    calls = _forbid(monkeypatch, "open_feature_cache")
     argv = [*_SMALL_RUN, "--set", setting, "--jobs", jobs]
     code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *argv)
     assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")
@@ -985,7 +1066,7 @@ def test_bad_train_or_network_value_is_one_config_error_line_before_the_cache_is
 def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
     small_cache, tmp_path, capsys, monkeypatch, command, setting
 ):
-    calls = _forbid(monkeypatch, "load_model", "read_feature_cache", "open_feature_cache")
+    calls = _forbid(monkeypatch, "load_model", "open_feature_cache")
     argv = ["--models", small_cache.root / "models", "--cache", small_cache.good, "--out", tmp_path / "o"]
     code = _run(command, *argv, "--set", setting)
     assert setting.partition("=")[0].partition(".")[2] in _assert_one_error_line(code, capsys, "config")
