@@ -12,6 +12,10 @@ training, prediction and the tests' finite-difference check alike. All math is f
 forward_batch computes only what prediction needs: the ReLU runs in place in
 the conv GEMM's buffer and pooling keeps the window maxima but not their
 argmax, which backward_batch derives from the cached activation and maxima.
+Both passes walk the filters in slabs of _SLAB rows, so every temporary is
+slab-sized. backward_batch spends the cache's conv_act: slab by slab, it
+writes the conv gradient over the activations it has just read, so a cache
+serves exactly one backward pass.
 
 A model's parameters are one float64 vector of n_params values; NetworkParams
 names six views into it, the blocks w_conv, b_conv, w_hidden, b_hidden, w_out
@@ -40,6 +44,7 @@ PARAM_FIELDS = ("w_conv", "b_conv", "w_hidden", "b_hidden", "w_out", "b_out")
 _HEADER = struct.Struct("<HIIIIIII")  # version, then the seven config fields
 _HEADER_FIELDS = ("freq_bins", "time_steps", "filters", "pool_kernel", "pool_stride", "pool_pad", "hidden")
 _U32_MAX = 2**32 - 1
+_SLAB = 8  # filters per slab of the pool and scatter loops: their temporaries stay slab-sized
 
 
 @dataclass
@@ -140,18 +145,19 @@ def _sigmoid(z):
 
 
 # Layout invariant: the conv GEMM yields (filters, batch*time_steps), so every
-# per-time-step array (conv_act, the pool scatter target, d_conv_pre) and the
-# pooled maxima live in (filters, batch, time) memory order and are exposed as
-# (batch, filters, time) views. The b_conv gradient sums in memory order, so a
-# copy into C-contiguous (batch, filters, time) order would change b_conv in
-# its last bits.
+# per-time-step array (conv_act, and the conv gradient written over it) lives
+# in (filters, batch, time) memory order and is exposed as a (batch, filters,
+# time) view. The b_conv gradient sums in memory order, so a copy into
+# C-contiguous (batch, filters, time) order would change b_conv in its last
+# bits. A slab is _SLAB consecutive filter rows of that order. The pooled
+# maxima are written in (batch, filters, pooled) order, so flat is a view of them.
 
 @dataclass
 class BatchCache:
     operand: np.ndarray  # (freq_bins, batch*time_steps): the conv GEMM input, reused by backward
-    conv_act: np.ndarray  # (batch, filters, time_steps) post-ReLU, (filters, batch, time) in memory
-    pool_values: np.ndarray  # (batch, filters, pooled_steps), (filters, batch, pooled) in memory
-    flat: np.ndarray  # (batch, flat_size)
+    conv_act: np.ndarray  # (batch, filters, time_steps) post-ReLU, (filters, batch, time) in memory; backward spends it
+    pool_values: np.ndarray  # (batch, filters, pooled_steps)
+    flat: np.ndarray  # (batch, flat_size), a view of pool_values
     hidden_pre: np.ndarray  # (batch, hidden)
     hidden_act: np.ndarray
     probs: np.ndarray  # (batch,)
@@ -165,14 +171,14 @@ def _pool_offsets(act: np.ndarray, cfg: NetworkConfig) -> list[np.ndarray]:
     return [act[..., o :: cfg.pool_stride] for o in range(min(cfg.pool_kernel, cfg.time_steps))]
 
 
-def _pool_max(act: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
-    """Max of every pooling window of a (..., time_steps) stack."""
+def _pool_max(act: np.ndarray, cfg: NetworkConfig, out: np.ndarray) -> np.ndarray:
+    """Max of every pooling window of a (..., time_steps) stack, written into out (..., pooled_steps)."""
     first, *rest = _pool_offsets(act, cfg)
-    values = first.copy()
+    out[...] = first
     for view in rest:
-        head = values[..., : view.shape[-1]]
+        head = out[..., : view.shape[-1]]
         np.maximum(head, view, out=head)
-    return values
+    return out
 
 
 def _pool_argmax(act: np.ndarray, values: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
@@ -198,18 +204,21 @@ def forward_batch(params: NetworkParams, xs: np.ndarray, cfg: NetworkConfig) -> 
     batch = xs.shape[0]
     operand = xs.transpose(1, 0, 2).reshape(cfg.freq_bins, batch * cfg.time_steps)
     conv_act = (params.w_conv @ operand).reshape(cfg.filters, batch, cfg.time_steps)
-    conv_act += params.b_conv[:, None, None]
-    np.maximum(conv_act, 0.0, out=conv_act)
-    values = _pool_max(conv_act, cfg)
+    values = np.empty((batch, cfg.filters, cfg.pooled_steps))  # flat's order, so flat is a view
+    for lo in range(0, cfg.filters, _SLAB):
+        act = conv_act[lo : lo + _SLAB]
+        act += params.b_conv[lo : lo + _SLAB, None, None]
+        np.maximum(act, 0.0, out=act)
+        _pool_max(act, cfg, out=values[:, lo : lo + _SLAB].transpose(1, 0, 2))
 
-    flat = values.transpose(1, 0, 2).reshape(batch, cfg.flat_size)
+    flat = values.reshape(batch, cfg.flat_size)
     hidden_pre = flat @ params.w_hidden.T + params.b_hidden
     hidden_act = np.maximum(hidden_pre, 0.0)
     logits = hidden_act @ params.w_out + params.b_out
     return BatchCache(
         operand,
         conv_act.transpose(1, 0, 2),
-        values.transpose(1, 0, 2),
+        values,
         flat,
         hidden_pre,
         hidden_act,
@@ -222,7 +231,9 @@ def backward_batch(
 ) -> NetworkParams:
     """Gradients of the mean per-sample loss over the batch, in a new parameter vector.
 
-    xs must be the batch that built cache; its conv operand comes from the cache.
+    xs must be the batch that built cache; its conv operand comes from the
+    cache. The conv gradient is written over cache.conv_act, so the cache
+    serves this one pass.
     """
     ys = np.asarray(ys, dtype=np.float64)
     batch = len(xs)
@@ -236,22 +247,25 @@ def backward_batch(
     np.matmul(d_hidden_pre.T, cache.flat, out=grads.w_hidden)
     d_hidden_pre.sum(axis=0, out=grads.b_hidden)
 
-    # Pool scatter as one bincount over (filters, batch, time) flat indices,
-    # pooled step outermost: a time step in several windows sums in window order.
+    # Pool scatter, one slab at a time: one bincount over the slab's (filters,
+    # batch, time) flat indices, pooled step outermost, so a time step in
+    # several windows sums in window order. Each slab's conv gradient goes
+    # over its spent activations, which then hold d_conv_pre.
     act = cache.conv_act.transpose(1, 0, 2)  # (filters, batch, time) memory order
-    argmax = _pool_argmax(act, cache.pool_values.transpose(1, 0, 2), cfg)
-    rows = np.arange(cfg.filters * batch).reshape(cfg.filters, batch) * cfg.time_steps
-    index = np.empty((cfg.pooled_steps, cfg.filters, batch), dtype=np.int64)  # C order: ravel is a view
-    np.add(argmax.transpose(2, 0, 1), rows, out=index)
-    del argmax  # freed before the scatter, the pass's memory peak
-    d_pool = (d_hidden_pre @ params.w_hidden).reshape(cache.pool_values.shape)
-    d_conv_pre = np.bincount(
-        index.ravel(), weights=d_pool.transpose(2, 1, 0).ravel(), minlength=rows.size * cfg.time_steps
-    ).reshape(cfg.filters, batch, cfg.time_steps)
-    d_conv_pre *= act > 0.0  # the same mask as conv_pre > 0
+    values = cache.pool_values.transpose(1, 0, 2)
+    d_pool = (d_hidden_pre @ params.w_hidden).reshape(batch, cfg.filters, cfg.pooled_steps)
+    rows = np.arange(_SLAB * batch).reshape(_SLAB, batch) * cfg.time_steps
+    for lo in range(0, cfg.filters, _SLAB):
+        slab = act[lo : lo + _SLAB]
+        argmax = _pool_argmax(slab, values[lo : lo + _SLAB], cfg)
+        index = np.empty((cfg.pooled_steps, len(slab), batch), dtype=np.int64)  # C order: ravel is a view
+        np.add(argmax.transpose(2, 0, 1), rows[: len(slab)], out=index)
+        weights = d_pool[:, lo : lo + _SLAB].transpose(2, 1, 0).ravel()
+        d = np.bincount(index.ravel(), weights=weights, minlength=slab.size).reshape(slab.shape)
+        np.multiply(d, slab > 0.0, out=slab)  # the same mask as conv_pre > 0
 
-    np.matmul(d_conv_pre.reshape(cfg.filters, batch * cfg.time_steps), cache.operand.T, out=grads.w_conv)
-    d_conv_pre.sum(axis=(1, 2), out=grads.b_conv)
+    np.matmul(act.reshape(cfg.filters, batch * cfg.time_steps), cache.operand.T, out=grads.w_conv)
+    act.sum(axis=(1, 2), out=grads.b_conv)
     return grads
 
 

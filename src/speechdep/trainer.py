@@ -21,10 +21,10 @@ batch, not per training set: a FeatureSet that reads its records from a
 cache file when batched holds one batch of values at a time. All of the
 machines' params and Adadelta state (eg2, edx2) stay alive together, about
 3 x n_params x 8 B per machine (14.2 MB at the reference geometry). A step
-adds one gradient vector; the in-place update allocates no vector-sized
-temporary. planned_bytes sums these. The CLI's `train --jobs N` splits the
-machines into at most N contiguous groups and trains each group this way in
-a worker of its own.
+adds one gradient vector; the in-place update allocates only two
+slice-sized scratch arrays. planned_bytes sums these. The CLI's `train
+--jobs N` splits the machines into at most N contiguous groups and trains
+each group this way in a worker of its own.
 """
 
 from __future__ import annotations
@@ -106,14 +106,33 @@ def lr_schedule(cfg: TrainConfig, epoch: int) -> float:
 def adadelta_step(
     params: NetworkParams, grads: NetworkParams, state: AdadeltaState, lr: float, rho: float, eps: float
 ) -> None:
-    """One Adadelta update of params and state, in place; grads is only read."""
+    """One Adadelta update of params and state, in place; grads is only read.
+
+    Each slice runs the operations of the module docstring's formulas, in
+    their order, through two scratch slices, so a step allocates only those.
+    """
+    scratch = np.empty((2, min(_STEP_CHUNK, params.vector.size)))
     for lo in range(0, params.vector.size, _STEP_CHUNK):
         chunk = slice(lo, lo + _STEP_CHUNK)
         g, eg2, edx2 = grads.vector[chunk], state.eg2[chunk], state.edx2[chunk]
-        eg2[:] = rho * eg2 + (1.0 - rho) * g * g
-        delta = -g * np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps)
-        edx2[:] = rho * edx2 + (1.0 - rho) * delta * delta
-        params.vector[chunk] += lr * delta
+        a, delta = scratch[:, : len(g)]
+        np.multiply(g, 1.0 - rho, out=a)  # eg2 <- rho*eg2 + (1-rho)*g*g
+        np.multiply(a, g, out=a)
+        np.multiply(eg2, rho, out=eg2)
+        np.add(eg2, a, out=eg2)
+        np.add(edx2, eps, out=a)  # delta = -g * sqrt(edx2 + eps) / sqrt(eg2 + eps)
+        np.sqrt(a, out=a)
+        np.negative(g, out=delta)
+        np.multiply(delta, a, out=delta)
+        np.add(eg2, eps, out=a)
+        np.sqrt(a, out=a)
+        np.divide(delta, a, out=delta)
+        np.multiply(delta, 1.0 - rho, out=a)  # edx2 <- rho*edx2 + (1-rho)*delta*delta
+        np.multiply(a, delta, out=a)
+        np.multiply(edx2, rho, out=edx2)
+        np.add(edx2, a, out=edx2)
+        np.multiply(delta, lr, out=delta)  # theta <- theta + lr*delta
+        params.vector[chunk] += delta
 
 
 def planned_bytes(net_cfg: NetworkConfig, batch_size: int, n_records: int, machines: int, groups: int) -> int:

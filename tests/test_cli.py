@@ -703,7 +703,7 @@ def _pool(models, nets):
 
 def test_evaluate_reads_each_model_once_per_batch_and_writes_the_in_memory_pool_bytes(tmp_path, monkeypatch):
     rng = np.random.default_rng(21)
-    cache = tmp_path / "test.lspg"  # 300 records: a full 256-crop prediction batch and a partial one
+    cache = tmp_path / "test.lspg"  # 300 records: four full 64-crop prediction batches and a partial one
     write_feature_cache(
         cache,
         [
@@ -722,8 +722,8 @@ def test_evaluate_reads_each_model_once_per_batch_and_writes_the_in_memory_pool_
     monkeypatch.setattr(cli, "load_model", lambda path: reads.append(path.name) or load(path))
     assert _run("evaluate", "--models", tmp_path / "models", "--cache", cache, "--out", tmp_path / "e") == 0
     assert (tmp_path / "e" / "predictions.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
-    # the config read of model 0, then every model for each of the two batches, in pool order
-    assert reads == ["model_000.sdm"] + 2 * [path.name for path in paths], reads
+    # the config read of model 0, then every model for each of the five batches, in pool order
+    assert reads == ["model_000.sdm"] + 5 * [path.name for path in paths], reads
 
 
 def _cache(path, n, shape, seed):
@@ -737,7 +737,7 @@ def _cache(path, n, shape, seed):
 
 
 def test_curve_on_a_streamed_cache_writes_the_in_memory_bytes(tmp_path, monkeypatch):
-    cache = _cache(tmp_path / "test.lspg", 300, (4, 6), 23)  # a full 256-crop prediction batch and a partial one
+    cache = _cache(tmp_path / "test.lspg", 300, (4, 6), 23)  # four full 64-crop prediction batches and a partial one
     net = NetworkConfig(freq_bins=4, time_steps=6, filters=2, pool_kernel=2, pool_stride=2, hidden=3)
     _pool(tmp_path / "models", [net] * 3)
     argv = ["curve", "--models", tmp_path / "models", "--cache", cache, "--set", "curve.n_combinations=4"]

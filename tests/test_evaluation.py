@@ -213,6 +213,19 @@ def test_pool_prediction_is_bitwise_the_per_machine_path(monkeypatch):
         assert chunk == 0 or not np.shares_memory(first, operands[3 * chunk - 1])
 
 
+def test_64_crop_batches_give_the_256_crop_bytes_at_reference_geometry():
+    """75 crops: batches of 64 and 11, or one batch of 75."""
+    net = NetworkConfig(freq_bins=513, time_steps=125)
+    rng = np.random.default_rng(31)
+    pool = [init_params(net, seed) for seed in (5, 6)]
+    for params in pool:
+        params.b_conv += rng.normal(scale=0.05, size=net.filters)
+    feats = _toy_features({f"s{i}": i % 2 for i in range(15)}, crops_per_speaker=5, shape=(513, 125), seed=8)
+    probs = predict_speaker_probs(pool, net, feats, batch_size=64)
+    assert probs.shape == (2, 75)
+    assert np.array_equal(probs, predict_speaker_probs(pool, net, feats, batch_size=256))
+
+
 def test_prediction_set_rows_are_machines_in_speaker_order():
     net = _toy_net()
     pool = [init_params(net, seed) for seed in (1, 2)]

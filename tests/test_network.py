@@ -107,10 +107,14 @@ def _pool_cfg(act, kernel, stride):
     )
 
 
+def _pooled(act, cfg):
+    return _pool_max(act, cfg, np.empty(act.shape[:-1] + (cfg.pooled_steps,)))
+
+
 def test_maxpool_hand_case():
     row = np.array([[1.0, 3.0, 2.0, 0.0, 5.0, 4.0]])
     cfg = _pool_cfg(row, kernel=3, stride=2)
-    values = _pool_max(row, cfg)
+    values = _pooled(row, cfg)
     argmax = _pool_argmax(row, values, cfg)
     np.testing.assert_array_equal(values, [[3.0, 5.0, 5.0]])
     np.testing.assert_array_equal(argmax, [[1, 4, 4]])
@@ -119,7 +123,7 @@ def test_maxpool_hand_case():
 def test_maxpool_tie_takes_smallest_index():
     row = np.array([[5.0, 5.0, 1.0]])
     cfg = _pool_cfg(row, kernel=3, stride=3)
-    argmax = _pool_argmax(row, _pool_max(row, cfg), cfg)
+    argmax = _pool_argmax(row, _pooled(row, cfg), cfg)
     assert argmax[0, 0] == 0
 
 
@@ -127,7 +131,7 @@ def test_maxpool_kernel_one_is_strided_copy():
     rng = np.random.default_rng(7)
     act = rng.uniform(size=(3, 9))
     cfg = _pool_cfg(act, kernel=1, stride=2)
-    values = _pool_max(act, cfg)
+    values = _pooled(act, cfg)
     argmax = _pool_argmax(act, values, cfg)
     np.testing.assert_array_equal(values, act[:, ::2])
     np.testing.assert_array_equal(argmax, np.tile(np.arange(0, 9, 2), (3, 1)))
@@ -370,7 +374,8 @@ def _assert_batch_matches_oracle(params, xs, ys, cfg, monkeypatch):
     argmaxes = _argmax_spy(monkeypatch)
     grads = backward_batch(params, cache, xs, ys, cfg)
     monkeypatch.undo()
-    [argmax] = argmaxes  # backward's, in (filters, batch, pooled) order
+    assert len(argmaxes) == -(-cfg.filters // network._SLAB)  # one per slab
+    argmax = np.concatenate(argmaxes)  # backward's slabs in filter order: (filters, batch, pooled)
     assert np.array_equal(argmax.transpose(1, 0, 2), oracle["pool_argmax"])
     want = _oracle_backward_batch(params, oracle, xs, ys, cfg)
     for name in PARAM_FIELDS:
@@ -391,9 +396,10 @@ def _tie_heavy_instance(cfg, batch, seed):
     return params, xs, ys
 
 
+@pytest.mark.parametrize("filters", [7, 13])  # one partial slab; a full slab and a partial one
 @pytest.mark.parametrize("geometry", sorted(POOL_GEOMETRIES))
-def test_batched_path_is_bitwise_equal_to_loop_oracle(geometry, monkeypatch):
-    cfg = NetworkConfig(freq_bins=19, filters=7, hidden=6, **POOL_GEOMETRIES[geometry])
+def test_batched_path_is_bitwise_equal_to_loop_oracle(geometry, filters, monkeypatch):
+    cfg = NetworkConfig(freq_bins=19, filters=filters, hidden=6, **POOL_GEOMETRIES[geometry])
     params, xs, ys = _tie_heavy_instance(cfg, batch=11, seed=len(geometry))
     cache = forward_batch(params, xs, cfg)
     assert (cache.pool_values == 0.0).any()  # all-zero windows are exercised
@@ -406,3 +412,20 @@ def test_batched_path_is_bitwise_equal_to_loop_oracle_at_reference_geometry(monk
     cfg = NetworkConfig(freq_bins=513, time_steps=125)
     params, xs, ys = _tie_heavy_instance(cfg, batch=6, seed=3)
     _assert_batch_matches_oracle(params, xs, ys, cfg, monkeypatch)
+
+
+def test_backward_holds_the_gradient_vector_and_less_than_one_activation():
+    """The scatter and its mask are slab-sized, and the conv gradient goes over the spent activations."""
+    cfg = NetworkConfig(freq_bins=513, time_steps=125)
+    batch = 80
+    params, xs, ys = _tie_heavy_instance(cfg, batch=batch, seed=5)
+    backward_batch(params, forward_batch(params, xs, cfg), xs, ys, cfg)  # first-call allocations are not the pass's
+    cache = forward_batch(params, xs, cfg)
+    tracemalloc.start()
+    try:
+        grads = backward_batch(params, cache, xs, ys, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = 8 * cfg.filters * batch * cfg.time_steps
+    assert peak < grads.vector.nbytes + activation, (peak, grads.vector.nbytes, activation)
