@@ -217,30 +217,51 @@ def _draw_clip(rng: np.random.Generator, label: int, duration_s: float, sample_r
     )
 
 
-def _render_clip(draw: _ClipDraw) -> np.ndarray:
+def _render_clip(draw: _ClipDraw, threads: int = 1) -> np.ndarray:
     """A clip's samples, computed from its draws into draw.noise, which is returned.
 
     Uses no generator, so any process can render any clip, with the same bytes.
     Sample-wise formulas run a block at a time, so memory peaks at three
     clip-sized arrays: the noise, the signal and the squares of its level.
+    Each sample-wise loop deals its blocks round-robin to `threads` threads,
+    the calling thread and threads - 1 pool threads (numpy's ufuncs release
+    the interpreter lock). Every value depends only on its own block, and the
+    cumulative sum and the mean level run on the calling thread, so the bytes
+    do not depend on the thread count.
     """
     rate, n = draw.sample_rate, draw.noise.size
     blocks = [slice(start, min(start + _RENDER_BLOCK, n)) for start in range(0, n, _RENDER_BLOCK)]
+    shares = [blocks[i::threads] for i in range(threads)]  # one share per thread, not a task per block
     signal = np.empty(n)
-    for b in blocks:  # 1% FM jitter around the fundamental, integrated to instantaneous phase
+
+    def jitter(b):  # 1% FM jitter around the fundamental, to be integrated to instantaneous phase
         t = np.arange(b.start, b.stop) / rate
         signal[b] = draw.f0 * (1.0 + 0.01 * np.sin(2.0 * np.pi * draw.jitter_rate * t + draw.jitter_phase))
-    np.cumsum(signal, out=signal)
-    signal *= 2.0 * np.pi
-    signal /= rate
-    for b in blocks:
+
+    def harmonics(b):  # harmonics of the phase in signal[b], times the amplitude envelope
         tone = np.zeros(b.stop - b.start)
         for h in range(1, _N_HARMONICS + 1):
             tone += np.sin(h * signal[b] + draw.harmonic_phases[h - 1]) / h
         t = np.arange(b.start, b.stop) / rate
         envelope = 1.0 - 0.4 * (1.0 + np.sin(2.0 * np.pi * draw.mod_rate * t + draw.mod_phase))  # in [0.2, 1]
         signal[b] = tone * envelope
-    del t, tone, envelope  # a block each, not needed past the loop
+
+    def on_every_block(fn, pool):  # the calling thread takes the first share, the pool the others
+        rest = pool.map(lambda share: [fn(b) for b in share], shares[1:])  # submitted here
+        for b in shares[0]:
+            fn(b)  # a block's temporaries are freed when its call returns
+        list(rest)  # reading each result raises its exception
+
+    # imported here, so that reading WAVs and manifests does not load the executor and logging (0.6 MB)
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one per call, so no thread outlives the clip; at threads = 1 it gets no task and starts no thread
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        on_every_block(jitter, pool)
+        np.cumsum(signal, out=signal)
+        signal *= 2.0 * np.pi
+        signal /= rate
+        on_every_block(harmonics, pool)
 
     noise = draw.noise
     noise *= float(np.sqrt(np.mean(signal**2))) * 10.0 ** (_NOISE_DB / 20.0)

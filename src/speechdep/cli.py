@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -207,6 +208,23 @@ def _map(fn, tasks, jobs: int, inherited):
 
 def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
     seed = cfg["seed"]
+    duration_s, rate = cfg["synth.duration_s"], cfg["synth.sample_rate"]
+    if rate > 0xFFFFFFFF:
+        raise CliError("config", f"synth.sample_rate={rate} does not fit the 32-bit rate of a WAV header")
+    if math.isfinite(duration_s) and duration_s > 0.0 and rate >= 1:  # synth_corpus rejects the rest
+        if round(duration_s / 2.0 * rate) < 1:
+            raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
+        # the noise, the signal and the squares of its level, for the longest clip, per concurrent render
+        plan = 3 * 8 * jobs * duration_s * rate
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if plan > physical:
+            raise CliError(
+                "config",
+                f"rendering {jobs} clips of synth.duration_s={duration_s} at {rate} Hz at once needs "
+                f"{plan:.0f} bytes, more than the {physical} bytes of physical memory",
+            )
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = max(1, cores // jobs)  # the --jobs workers share the usable cores
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
@@ -214,8 +232,8 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         entry.path = f"wav/{entry.speaker_id}.wav"
         write_wav(out_dir / entry.path, clip)
 
-    def render(fn, draws):  # map(fn, draws) through _map
-        return _map(lambda f, draw: f(draw), draws, jobs, fn)
+    def render(fn, draws):  # map(fn, draws) through _map, each clip's blocks on `threads` threads
+        return _map(lambda f, draw: f(draw, threads), draws, jobs, fn)
 
     entries = []
     for split, per_class, split_seed in (
@@ -282,6 +300,9 @@ def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, 
 
 def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int) -> dict:
     stft_cfg = cfg.section(StftConfig, "stft")
+    for key in ("trim.frame_s", "sampling.crop_s"):
+        if not (math.isfinite(cfg[key]) and cfg[key] > 0.0):
+            raise CliError("config", f"{key} must be a positive finite number of seconds, got {cfg[key]}")
     if not manifest_path.is_file():
         raise CliError("io", f"manifest not found: {manifest_path}")
     manifest = load_manifest(manifest_path)
@@ -587,7 +608,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
         p.add_argument("--seed", type=int, help="override the top-level seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = sequential)")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes (1 = sequential); synth renders each clip on usable cores // N threads, "
+            "with the same bytes",
+        )
 
     common(sub.add_parser("synth", help="generate a synthetic labeled corpus"))
     p = sub.add_parser("featurize", help="build the log-spectrogram feature caches")

@@ -219,13 +219,14 @@ def _synth_clip_formula(rng, label, duration_s, sample_rate):
     return np.clip(signal, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(6))
-def test_rendered_draws_are_bitwise_the_formula(seed):
+def test_rendered_draws_are_bitwise_the_formula(seed, threads):
     label = seed % 2
     # shorter than one render block, several blocks with a partial last one, and 8 kHz
     for duration_s, rate in ((0.3, 16000), (2.7183, 16000), (5.0, 8000)):
         drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        samples = _render_clip(_draw_clip(drawn, label, duration_s, rate))
+        samples = _render_clip(_draw_clip(drawn, label, duration_s, rate), threads)
         assert np.array_equal(samples, _synth_clip_formula(reference, label, duration_s, rate))
         assert drawn.random() == reference.random()  # the draws left the generator in the same state
 

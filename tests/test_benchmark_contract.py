@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +65,37 @@ def test_synth_renders_every_clip_inside_synth_corpus(tmp_path, monkeypatch):
         finally:
             depth[0] -= 1
 
-    def spied_render(draw):
+    def spied_render(draw, *rest):
         outside.append(depth[0] == 0)
-        return render(draw)
+        return render(draw, *rest)
 
     monkeypatch.setattr(cli, "synth_corpus", spied_synth_corpus)
     monkeypatch.setattr(audio_io, "_render_clip", spied_render)
     sizes = ["synth.speakers_per_class=2", "synth.test_speakers_per_class=1", "synth.duration_s=1"]
     assert cli.main(["synth", "--out", str(tmp_path), "--jobs", "1", *(f"--set={kv}" for kv in sizes)]) == 0
     assert outside == [False] * 6
+
+
+def test_synth_runs_every_traced_audio_io_function_on_the_main_thread(tmp_path, monkeypatch):
+    """The tracer keeps one open-span stack, so the render threads must call nothing it wraps."""
+    names = _traced_table()["audio_io"]
+    threads = []
+    for name in names:
+        original = getattr(audio_io, name)
+
+        def spy(*args, original=original, name=name, **kwargs):
+            threads.append((name, threading.current_thread() is threading.main_thread()))
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):  # every binding, as the tracer rebinds them
+            if module_name.startswith("speechdep"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+    sizes = ["synth.speakers_per_class=2", "synth.test_speakers_per_class=1", "synth.duration_s=3"]
+    assert cli.main(["synth", "--out", str(tmp_path), "--jobs", "1", *(f"--set={kv}" for kv in sizes)]) == 0
+    assert {name for name, _ in threads} == {"synth_corpus", "write_wav", "save_manifest"}
+    assert all(on_main for _, on_main in threads), threads
 
 
 def _bench_module(name, monkeypatch):

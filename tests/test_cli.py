@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import struct
+import threading
 import tracemalloc
 import zlib
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechdep import cli
+from speechdep import audio_io, cli
 from speechdep.audio_io import AudioClip, load_wav, write_wav
 from speechdep.cli import CONFIG_SCHEMA, RunConfig, main
 from speechdep.ensemble import EnsembleConfig, fuse_method1, read_predictions_csv, write_predictions_csv
@@ -1003,6 +1004,75 @@ def test_bad_synth_value_is_one_error_line(tmp_path, capsys, key, value):
     line = _assert_one_error_line(code, capsys, "config" if unparsed else "data")
     assert key.partition(".")[2] in line, line
     assert not (tmp_path / "c" / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_clip_of_under_one_sample_is_one_config_error_line_before_any_file(tmp_path, capsys, jobs):
+    code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", "synth.duration_s=1e-9", "--jobs", jobs)
+    assert "duration_s" in _assert_one_error_line(code, capsys, "config")
+    assert not (tmp_path / "c" / "wav").exists()
+    # the shortest clip this allows is 1 sample
+    assert _run("synth", "--out", tmp_path / "d", *FAST, "--set", "synth.duration_s=0.000125", "--jobs", jobs) == 0
+
+
+@pytest.mark.parametrize("rate", [2**32, 10**400])
+def test_sample_rate_past_the_wav_header_is_one_config_error_line_before_any_file(tmp_path, capsys, rate):
+    code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", f"synth.sample_rate={rate}")
+    assert "sample_rate" in _assert_one_error_line(code, capsys, "config")
+    assert not (tmp_path / "c" / "wav").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_clip_too_big_for_memory_is_one_config_error_line_before_any_draw(tmp_path, capsys, monkeypatch, jobs):
+    draws = []
+    monkeypatch.setattr(audio_io, "_draw_clip", lambda *args: draws.append(args))
+    code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", "synth.duration_s=1e12", "--jobs", jobs)
+    plan = 3 * 8 * jobs * 1e12 * 16000  # three float64 arrays of the longest clip per concurrent render
+    assert f"needs {plan:.0f} bytes" in _assert_one_error_line(code, capsys, "config")
+    assert draws == [] and not (tmp_path / "c" / "wav").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("affinity", [True, False])
+def test_synth_renders_each_clip_on_usable_cores_over_jobs_threads(tmp_path, monkeypatch, jobs, affinity):
+    log, render = tmp_path / "threads.log", audio_io._render_clip
+
+    def spied_render(draw, threads):  # appends to a file, for at --jobs 2 it runs in the workers
+        with open(log, "a") as fh:
+            fh.write(f"{threads}\n")
+        return render(draw, threads)
+
+    monkeypatch.setattr(audio_io, "_render_clip", spied_render)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _run("synth", "--out", tmp_path / "c", "--jobs", jobs, *_GOLDEN_SYNTH) == 0
+    assert log.read_text().split() == [str(5 // jobs)] * 6
+    assert _synth_digests(tmp_path / "c") == GOLDEN_SYNTH_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_synth_leaves_no_thread_running(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)  # 2 or 4 threads
+    cfg = RunConfig.defaults()
+    for item in FAST[1::2]:
+        cfg.set(*item.split("="))
+    before = threading.active_count()
+    cli.cmd_synth(cfg, tmp_path, jobs)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("key", ["trim.frame_s", "sampling.crop_s"])
+def test_bad_trim_frame_or_crop_is_one_config_error_line_before_the_manifest_is_read(
+    pipe, tmp_path, capsys, monkeypatch, key, value
+):
+    calls = _forbid(monkeypatch, "load_manifest")
+    argv = ["--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", "--set", f"{key}={value}"]
+    assert key in _assert_one_error_line(_run("featurize", *argv), capsys, "config")
+    assert calls == [] and not list((tmp_path / "f").glob("*"))
 
 
 def test_negative_pool_pad_is_one_config_error_line_before_training(small_cache, tmp_path, capsys):
