@@ -325,24 +325,27 @@ def save_manifest(path, manifest: CorpusManifest) -> None:
 def load_manifest(path) -> CorpusManifest:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"{path}: bad manifest header {header}")
-        entries = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(MANIFEST_HEADER):
-                raise ValueError(f"{where}: expected {len(MANIFEST_HEADER)} columns, got {len(row)}")
-            speaker_id, clip_path, label, split, duration_s = row
-            if label not in ("0", "1"):
-                raise ValueError(f"{where}: label must be 0 or 1, got {label!r}")
-            try:
-                duration = float(duration_s)
-            except ValueError:
-                raise ValueError(f"{where}: duration_s is not a number: {duration_s!r}") from None
-            if not (np.isfinite(duration) and duration > 0.0):
-                raise ValueError(f"{where}: duration_s must be a positive finite number, got {duration_s!r}")
-            entries.append(ManifestEntry(speaker_id, clip_path, int(label), split, duration))
+        try:  # the reader's own errors, such as a field over the csv field limit, name the line too
+            header = next(reader, None)
+            if header != MANIFEST_HEADER:
+                raise ValueError(f"{path}: bad manifest header {header}")
+            entries = []
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(MANIFEST_HEADER):
+                    raise ValueError(f"{where}: expected {len(MANIFEST_HEADER)} columns, got {len(row)}")
+                speaker_id, clip_path, label, split, duration_s = row
+                if label not in ("0", "1"):
+                    raise ValueError(f"{where}: label must be 0 or 1, got {label!r}")
+                try:
+                    duration = float(duration_s)
+                except ValueError:
+                    raise ValueError(f"{where}: duration_s is not a number: {duration_s!r}") from None
+                if not (np.isfinite(duration) and duration > 0.0):
+                    raise ValueError(f"{where}: duration_s must be a positive finite number, got {duration_s!r}")
+                entries.append(ManifestEntry(speaker_id, clip_path, int(label), split, duration))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return CorpusManifest(entries)

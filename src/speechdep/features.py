@@ -6,13 +6,14 @@ the non-negative FFT bins, and the frame count is floor(len / hop) with the
 tail frames zero-padded to the window length.
 
 The cache file stores pre-normalization log-magnitudes as float32, so the
-normalization strategy can change without re-extraction. read_feature_cache
-holds a cache as one float32 block; open_feature_cache holds only its record
-headers and reads a record's values when a batch needs them. Either set is a
-FeatureSet, which normalizes a batch at a time straight into the network's
-input buffer. Layout (little-endian): magic ``LSPG``, version u16, freq_bins
-u32, time_steps u32, record count u32, then per record a u16 length-prefixed
-UTF-8 speaker id, crop_index u32, label u8, and freq_bins * time_steps float32
+normalization strategy can change without re-extraction. open_feature_cache
+holds only a cache's record headers and reads a record's values when a batch
+needs them; read_feature_cache is that set's take of every row, one float32
+block. Either set is a FeatureSet, which normalizes a batch at a time, each
+record by its own min and max, straight into the network's input buffer.
+Layout (little-endian): magic ``LSPG``, version u16, freq_bins u32,
+time_steps u32, record count u32, then per record a u16 length-prefixed UTF-8
+speaker id, crop_index u32, label u8, and freq_bins * time_steps float32
 values in row-major (frequency-major) order.
 """
 
@@ -22,7 +23,7 @@ import os
 import struct
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,44 +133,37 @@ def featurize_raw(crop: SampleCrop, sample_rate: int, cfg: StftConfig | None = N
 
 
 def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
-    """Write pre-normalization float32 features; all matrices must share one shape."""
+    """Write pre-normalization float32 features of one shape; every record is checked before the file is made."""
     if not features:
         raise ValueError("refusing to write an empty feature cache")
-    if any(f.normalized for f in features):
-        raise ValueError("cache stores pre-normalization features only")
     freq_bins, time_steps = features[0].values.shape
+    sids = [f.speaker_id.encode("utf-8") for f in features]
+    for index, (f, sid) in enumerate(zip(features, sids)):
+        if f.normalized:
+            raise ValueError("cache stores pre-normalization features only")
+        if f.values.shape != (freq_bins, time_steps):
+            raise ValueError(f"inconsistent feature shape {f.values.shape} vs ({freq_bins}, {time_steps})")
+        if len(sid) > 0xFFFF:
+            raise ValueError(f"record {index}: speaker id of {len(sid)} UTF-8 bytes exceeds the cache's 65535")
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<HIII", CACHE_VERSION, freq_bins, time_steps, len(features)))
-        for f in features:
-            if f.values.shape != (freq_bins, time_steps):
-                raise ValueError(
-                    f"inconsistent feature shape {f.values.shape} vs ({freq_bins}, {time_steps})"
-                )
-            sid = f.speaker_id.encode("utf-8")
+        for f, sid in zip(features, sids):
             fh.write(struct.pack("<H", len(sid)))
             fh.write(sid)
             fh.write(struct.pack("<IB", f.crop_index, 0 if f.label is None else int(f.label)))
             fh.write(np.ascontiguousarray(f.values, dtype="<f4").tobytes())
 
 
-def _minmax_terms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record lo and hi - lo of minmax_normalize over the last two axes, in float64; 0.0 where hi == lo."""
-    lo = block.min(axis=(-2, -1)).astype(np.float64)  # min and max are exact in any float dtype
-    hi = block.max(axis=(-2, -1)).astype(np.float64)
-    with np.errstate(invalid="ignore"):  # inf - inf of an all-inf record, whose span is 0.0 anyway
-        return lo, np.where(hi == lo, 0.0, hi - lo)
-
-
 @dataclass(eq=False)
 class FeatureSet(Sequence):
-    """Records of one shape: one (N, freq_bins, time_steps) block, or a cache file's _CacheRecords.
+    """Records of one shape, held by a block: a (N, freq_bins, time_steps) array or a cache file's _CacheRecords.
 
-    The network input of record i is (float64(block[i]) - lo[i]) / span[i], minmax_normalize's arithmetic;
-    span 0.0 marks a constant record, which maps to zeros. A block's lo and span are taken when the set is
-    built, _CacheRecords' as record i is read: min and max are exact, so they agree. Indexing yields
-    LogSpectrogram records: float64 normalized copies, or block[i] when normalized is False. A slice of a
-    block yields take() of its rows.
+    The set reads record i only as block[i], so it acts alike on either. Its network input is
+    (float64(block[i]) - lo) / (hi - lo), minmax_normalize's arithmetic, with lo and hi the record's own min
+    and max, taken as it is batched (min and max are exact in float32); a constant record maps to zeros.
+    Indexing yields LogSpectrogram records: float64 normalized copies, or block[i] when normalized is False.
+    A slice yields take() of its rows.
     """
 
     block: np.ndarray | _CacheRecords
@@ -177,11 +171,6 @@ class FeatureSet(Sequence):
     crop_indices: list[int]
     labels: list[int]
     normalized: bool = True
-    lo: np.ndarray | None = field(init=False, repr=False)
-    span: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.lo, self.span = _minmax_terms(self.block) if isinstance(self.block, np.ndarray) else (None, None)
 
     def __len__(self) -> int:
         return self.block.shape[0]
@@ -200,10 +189,13 @@ class FeatureSet(Sequence):
         return self.block.shape[1:]
 
     def take(self, rows) -> "FeatureSet":
-        """The given records as a new set with its own block."""
+        """The given records as a new set with its own in-memory block, filled a row at a time."""
         rows = np.asarray(rows, dtype=np.intp)
+        block = np.empty((len(rows), *self.record_shape), dtype=self.block.dtype)
+        for out, i in zip(block, rows):
+            out[...] = self.block[i]
         return FeatureSet(
-            self.block[rows],
+            block,
             [self.speaker_ids[i] for i in rows],
             [self.crop_indices[i] for i in rows],
             [self.labels[i] for i in rows],
@@ -224,22 +216,24 @@ class FeatureSet(Sequence):
         xs = buffer.reshape(freq_bins, len(rows), time_steps).transpose(1, 0, 2)
         for x, i in zip(xs, rows):
             values = self.block[i]
-            lo, span = _minmax_terms(values) if self.lo is None else (self.lo[i], self.span[i])
-            if span == 0.0:
+            lo, hi = float(values.min()), float(values.max())
+            if hi == lo:  # also an all-inf record, whose hi - lo would be NaN
                 x.fill(0.0)
             else:
                 np.subtract(values, lo, out=x, dtype=np.float64)
-                np.divide(x, span, out=x)
+                np.divide(x, hi - lo, out=x)
         return xs
 
 
 class _CacheRecords:
-    """A cache file's records, checked by one walk that skips every value; indexing reads record i's values.
+    """A cache file's records, checked by one walk that skips every value; indexing reads a record's float32 values.
 
     The walk keeps each record's speaker id, crop index, label and values offset, and the one read-only
     descriptor it walked with, closed once the records are dropped. Every read is a pread at a record's
     offset, so the descriptor has no file position to share and forked workers read through it alike.
     """
+
+    dtype = np.dtype("<f4")
 
     def __init__(self, path):
         self.path, self.speaker_ids, self.crop_indices, self.labels, self.offsets = path, [], [], [], []
@@ -280,27 +274,25 @@ class _CacheRecords:
     def _cut_off(self, index) -> ValueError:
         return ValueError(f"{self.path}: cut off inside record {index} of {self.shape[0]}")
 
-    def read(self, index: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Record index's values, into out if given; a short read (the file shrank after the walk) raises."""
-        out = np.empty(self.shape[1:], dtype="<f4") if out is None else out
-        if os.preadv(self.fd, [out], self.offsets[index]) != out.nbytes:
-            raise self._cut_off(index)
-        return out
-
     def __getitem__(self, index: int) -> np.ndarray:
-        return self.read(index)
+        """Record index's values; a short read (the file shrank after the walk) raises."""
+        values = np.empty(self.shape[1:], dtype=self.dtype)
+        if os.preadv(self.fd, [values], self.offsets[index]) != values.nbytes:
+            raise self._cut_off(index)
+        return values
+
+
+def open_feature_cache(path, normalize: bool = True) -> FeatureSet:
+    """A cache's records, normalized unless normalize=False; a record's values are read when indexed or batched."""
+    records = _CacheRecords(path)
+    return FeatureSet(records, records.speaker_ids, records.crop_indices, records.labels, normalize)
 
 
 def read_feature_cache(path, normalize: bool = True) -> FeatureSet:
-    """Load a cache file into one float32 block; records read normalized unless normalize=False."""
-    records = _CacheRecords(path)
-    block = np.empty(records.shape, dtype="<f4")  # the walk has found every record inside the file
-    for index, out in enumerate(block):
-        records.read(index, out)
-    return FeatureSet(block, records.speaker_ids, records.crop_indices, records.labels, normalized=normalize)
+    """A cache loaded into one float32 block; records read normalized unless normalize=False.
 
-
-def open_feature_cache(path) -> FeatureSet:
-    """A cache's records, normalized, with each record's values read from the file only when indexed or batched."""
-    records = _CacheRecords(path)
-    return FeatureSet(records, records.speaker_ids, records.crop_indices, records.labels)
+    The block is the opened cache's take of every row, so its row count is the one the header walk has
+    checked against the file size.
+    """
+    opened = open_feature_cache(path, normalize)
+    return opened.take(range(len(opened)))

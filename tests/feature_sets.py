@@ -1,8 +1,14 @@
-"""Build FeatureSets from in-memory records, as the tests need them."""
+"""Build FeatureSets from in-memory records, as the tests need them, on either backing."""
+
+import tempfile
 
 import numpy as np
+import pytest
 
-from speechdep.features import FeatureSet
+from speechdep.features import FeatureSet, open_feature_cache, read_feature_cache, write_feature_cache
+
+# run a test once per backing: a block read into memory, and a cache opened on its file
+BACKINGS = pytest.mark.parametrize("reader", [read_feature_cache, open_feature_cache], ids=["read", "opened"])
 
 
 def feature_set(records, normalized=True) -> FeatureSet:
@@ -14,3 +20,11 @@ def feature_set(records, normalized=True) -> FeatureSet:
         [r.label for r in records],
         normalized,
     )
+
+
+def cached_set(records, directory, reader=open_feature_cache, normalize=True) -> FeatureSet:
+    """Pre-normalization records written to a new cache file in directory, then read back by reader."""
+    with tempfile.NamedTemporaryFile(suffix=".lspg", dir=directory, delete=False) as fh:
+        path = fh.name
+    write_feature_cache(path, records)
+    return reader(path, normalize)

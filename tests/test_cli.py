@@ -460,8 +460,12 @@ def test_zero_record_cache_is_a_data_error(pipe, tmp_path, capsys, jobs):
         (lambda row: row[:4] + ["nan"], "duration_s must be a positive finite number, got 'nan'"),
         (lambda row: row[:4] + ["inf"], "duration_s must be a positive finite number, got 'inf'"),
         (lambda row: row[:4] + ["-1"], "duration_s must be a positive finite number, got '-1'"),
+        (lambda row: ["s" * 131_073] + row[1:], "field larger than field limit (131072)"),
     ],
-    ids=["3 columns", "6 columns", "label 2", "bad duration", "nan duration", "inf duration", "negative duration"],
+    ids=[
+        "3 columns", "6 columns", "label 2", "bad duration", "nan duration", "inf duration", "negative duration",
+        "field over the csv limit",
+    ],
 )
 def test_bad_manifest_row_is_a_data_error(pipe, tmp_path, capsys, mangle, message):
     header, *rows = (pipe.corpus / "manifest.csv").read_text().splitlines()
@@ -471,6 +475,19 @@ def test_bad_manifest_row_is_a_data_error(pipe, tmp_path, capsys, mangle, messag
     code = _run("featurize", "--manifest", bad, "--out", tmp_path / "f", *FAST)
     line = _assert_one_error_line(code, capsys, "data")
     assert f"{bad}:3: {message}" in line
+
+
+def test_speaker_id_too_long_for_the_cache_is_a_data_error_before_the_cache_is_made(pipe, tmp_path, capsys):
+    header, *rows = (pipe.corpus / "manifest.csv").read_text().splitlines()
+    rows = [r.split(",") for r in rows]
+    for r in rows:
+        r[1] = str(pipe.corpus / r[1])  # the manifest moves; its clips stay
+    next(r for r in rows if r[3] == "train")[0] = "s" * 70_000
+    bad = tmp_path / "manifest.csv"
+    bad.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    code = _run("featurize", "--manifest", bad, "--out", tmp_path / "f", "--seed", SEED, *FAST)
+    assert "speaker id of 70000 UTF-8 bytes exceeds the cache's 65535" in _assert_one_error_line(code, capsys, "data")
+    assert not (tmp_path / "f" / "train.lspg").exists()
 
 
 def _with_label(cache, record, label, out):
@@ -971,7 +988,7 @@ def test_network_too_big_for_memory_is_one_config_error_line_before_any_record_i
     small_cache, tmp_path, capsys, monkeypatch, jobs
 ):
     reads = []
-    monkeypatch.setattr(_CacheRecords, "read", lambda records, index, out=None: reads.append(index))
+    monkeypatch.setattr(_CacheRecords, "__getitem__", lambda records, index: reads.append(index))
     big = ["--set", "network.filters=100000000", "--set", "network.hidden=100000000"]
     code = _run("train", "--cache", small_cache.good, "--out", tmp_path / "m", *_SMALL_RUN, *big, "--jobs", jobs)
     net = NetworkConfig(freq_bins=4, time_steps=6, filters=100_000_000, hidden=100_000_000)

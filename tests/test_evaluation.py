@@ -15,11 +15,11 @@ from speechdep.evaluation import (
     write_metrics_csv,
 )
 from speechdep import network
-from speechdep.features import LogSpectrogram
+from speechdep.features import LogSpectrogram, open_feature_cache, read_feature_cache
 from speechdep.network import NetworkConfig, backward_batch, forward_batch, init_params
 from speechdep.trainer import TrainConfig
 
-from feature_sets import feature_set
+from feature_sets import cached_set, feature_set
 
 
 def test_confusion_hand_case():
@@ -133,8 +133,8 @@ def test_kfold_determinism_and_errors():
         kfold_split({"a": 0, "b": 2}, 2)
 
 
-def _toy_features(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
-    """Separable per-speaker features: energy rows depend on the label."""
+def _toy_records(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
+    """Separable per-speaker raw records: energy rows depend on the label."""
     rng = np.random.default_rng(seed)
     feats = []
     for speaker, label in speakers.items():
@@ -144,7 +144,12 @@ def _toy_features(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
             base[rows] = 1.0
             base += rng.normal(scale=0.05, size=shape)
             feats.append(LogSpectrogram(base, speaker, i, label))
-    return feature_set(feats)
+    return feats
+
+
+def _toy_features(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
+    """Separable per-speaker features: energy rows depend on the label."""
+    return feature_set(_toy_records(speakers, crops_per_speaker, shape, seed))
 
 
 def test_speaker_labels_helper():
@@ -309,6 +314,27 @@ def test_cross_validate_k1_trains_on_everything():
     assert len(result.fold_reports) == 1
     assert result.fold_validation == [[]]
     assert result.pooled_report == result.fold_reports[0]
+
+
+def test_cross_validate_is_the_same_on_both_backings(tmp_path):
+    train_records = _toy_records({f"tr{i}": i % 2 for i in range(6)}, seed=7)
+    test_records = _toy_records({f"te{i}": i % 2 for i in range(4)}, seed=8)
+    read, opened = (
+        cross_validate(
+            cached_set(train_records, tmp_path, reader),
+            cached_set(test_records, tmp_path, reader),
+            _toy_net(),
+            TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=2),
+            EnsembleConfig(machines=2, method=1),
+            k=3,
+            seed=1,
+        )
+        for reader in (read_feature_cache, open_feature_cache)
+    )
+    assert all(history.val_loss for fold in opened.histories for history in fold)  # every fold validated
+    assert opened.pooled_report == read.pooled_report
+    assert opened.fold_predictions == read.fold_predictions
+    assert opened.histories == read.histories
 
 
 def test_cross_validate_rejects_empty_inputs():

@@ -20,7 +20,7 @@ from speechdep.network import NetworkConfig
 from speechdep.sampling import SampleCrop, crop
 from speechdep.trainer import TrainConfig, train
 
-from feature_sets import feature_set
+from feature_sets import BACKINGS, cached_set, feature_set
 
 
 def _naive_dft_frame(frame, n_fft, n_bins):
@@ -162,13 +162,22 @@ def test_feature_cache_rejects_bad_inputs(tmp_path):
     path = tmp_path / "f.lspg"
     with pytest.raises(ValueError, match="empty"):
         write_feature_cache(path, [])
+    assert not path.exists()
     good = LogSpectrogram(np.zeros((4, 4), dtype=np.float32), "s", 0, 0)
     normalized = feature_set([good])[0]
-    with pytest.raises(ValueError, match="pre-normalization"):
-        write_feature_cache(path, [normalized])
     other = LogSpectrogram(np.zeros((4, 5), dtype=np.float32), "s", 1, 0)
-    with pytest.raises(ValueError, match="shape"):
-        write_feature_cache(path, [good, other])
+    long_id = LogSpectrogram(good.values, "\u00e9" * 32768, 2, 0)  # 65,536 UTF-8 bytes, one over the u16 prefix
+    for records, message in (
+        ([normalized], "pre-normalization"),
+        ([good, normalized], "pre-normalization"),
+        ([good, other], "shape"),
+        ([good, long_id], "record 1: speaker id of 65536 UTF-8 bytes exceeds the cache's 65535"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            write_feature_cache(path, records)
+        assert not path.exists()  # every record is checked before the file is made
+    write_feature_cache(path, [LogSpectrogram(good.values, "\u00e9" * 32767 + "s", 0, 0)])  # 65,535 bytes fit
+    assert len(read_feature_cache(path)[0].speaker_id) == 32768
 
 
 def test_feature_cache_rejects_corruption(tmp_path):
@@ -200,14 +209,14 @@ def _odd_records():
     return [r.astype(np.float32) for r in records]
 
 
-def test_batch_normalization_is_bitwise_minmax_normalize(tmp_path):
+@BACKINGS
+def test_batch_normalization_is_bitwise_minmax_normalize(tmp_path, reader):
     records = _odd_records()
-    path = tmp_path / "odd.lspg"
-    write_feature_cache(path, [LogSpectrogram(r, "s", i, i % 2) for i, r in enumerate(records)])
+    cached = cached_set([LogSpectrogram(r, "s", i, i % 2) for i, r in enumerate(records)], tmp_path, reader)
     expected = np.stack([minmax_normalize(r) for r in records])
     assert not expected[0].any()
     stacked = feature_set([LogSpectrogram(r, "s", 0, 0) for r in records])
-    for features in (read_feature_cache(path), stacked):
+    for features in (cached, stacked):
         assert np.array_equal(features.batch(range(len(records))), expected)
         rows = [4, 0, 2]
         buffer = np.full(3 * 15 * 2, np.nan)  # room for 2 records more than needed
@@ -221,13 +230,14 @@ def test_batch_normalization_is_bitwise_minmax_normalize(tmp_path):
             assert f.normalized and np.array_equal(f.values, want)
 
 
-def test_feature_set_keeps_the_record_contract(tmp_path):
+@BACKINGS
+def test_feature_set_keeps_the_record_contract(tmp_path, reader):
     path = tmp_path / "f.lspg"
     values = np.arange(12, dtype=np.float32).reshape(3, 4)
     raw = [LogSpectrogram(values * k, f"spk{k}", 10 + k, k % 2) for k in (1, 2, 3)]
     write_feature_cache(path, raw)
     for normalize in (True, False):
-        features = read_feature_cache(path, normalize=normalize)
+        features = reader(path, normalize=normalize)
         assert len(features) == 3 and features.record_shape == (3, 4)
         keys = [(f.speaker_id, f.crop_index, f.label) for f in features]
         assert keys == [("spk1", 11, 1), ("spk2", 12, 0), ("spk3", 13, 1)]
@@ -237,7 +247,7 @@ def test_feature_set_keeps_the_record_contract(tmp_path):
         assert last.values.dtype == want.dtype and np.array_equal(last.values, want)
         with pytest.raises(IndexError):
             features[3]
-    subset = read_feature_cache(path).take([2, 0])
+    subset = reader(path).take([2, 0])
     assert subset.speaker_ids == ["spk3", "spk1"]
     assert np.array_equal(subset[1].values, minmax_normalize(raw[0].values))
     net = NetworkConfig(freq_bins=4, time_steps=3, filters=1, pool_kernel=1, pool_stride=1, hidden=1)
@@ -245,13 +255,14 @@ def test_feature_set_keeps_the_record_contract(tmp_path):
         train(subset, net, TrainConfig(epochs=1))
 
 
+@BACKINGS
 @pytest.mark.parametrize("normalize", [True, False])
-def test_feature_set_slice_is_take_of_its_rows(tmp_path, normalize):
+def test_feature_set_slice_is_take_of_its_rows(tmp_path, normalize, reader):
     path = tmp_path / "f.lspg"
     rng = np.random.default_rng(4)
     raw = [LogSpectrogram(rng.normal(size=(3, 4)).astype(np.float32), f"s{i}", i, i % 2) for i in range(6)]
     write_feature_cache(path, raw)
-    features = read_feature_cache(path, normalize=normalize)
+    features = reader(path, normalize=normalize)
     sliced, taken = features[1:4], features.take(range(1, 4))
     assert len(sliced) == 3 and sliced.normalized == normalize
     for got, want in zip(sliced, taken, strict=True):

@@ -336,7 +336,7 @@ def _chunk_loop_loss(params, net, features, batch_size):
 def test_evaluate_loss_is_bitwise_the_chunk_loop():
     net = _toy_net()
     features = _raw_features(14)  # record 1 is constant
-    assert features.span[1] == 0.0 and features.span[0] > 0.0
+    assert np.ptp(features.block[1]) == 0.0 and np.ptp(features.block[0]) > 0.0
     [trained], _ = train(features, net, TrainConfig(epochs=2, batch_size=4, seed=3))
     for params in (init_params(net, 8), trained):
         for batch_size in (1, 2, 7, 14, 3, 4, 5, 256):  # even splits, uneven splits, one chunk
