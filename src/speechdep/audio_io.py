@@ -162,12 +162,16 @@ def write_wav(path, clip: AudioClip) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def trim_silence(clip: AudioClip, frame_s: float = 0.1, energy_floor_db: float = -60.0) -> AudioClip:
-    """Drop frames whose RMS level (dB re full scale) is at or below the floor.
+def trim_silence(
+    clip: AudioClip, frame_s: float = 0.1, energy_floor_db: float = -60.0
+) -> tuple[AudioClip, np.ndarray]:
+    """The clip without the frames whose RMS level (dB re full scale) is at or below the floor, and the keep mask.
 
     Frames are consecutive non-overlapping windows of frame_s; a trailing
     partial frame is judged on its own samples. A clip shorter than one frame
-    is returned unchanged. Idempotent.
+    is returned unchanged. Idempotent. keep[i] tells whether frame i was kept,
+    so keep_frames(clip, keep, frame_s) trims the same samples again without
+    measuring a level.
     """
     if frame_s <= 0:
         raise ValueError(f"frame_s must be positive, got {frame_s}")
@@ -178,16 +182,26 @@ def trim_silence(clip: AudioClip, frame_s: float = 0.1, energy_floor_db: float =
         )
     n = clip.samples.size
     if n < frame_len:
-        return clip
-    full = n - n % frame_len
-    power = clip.samples**2
-    mean_power = np.mean(power[:full].reshape(-1, frame_len), axis=1)
-    if full < n:
-        mean_power = np.append(mean_power, np.mean(power[full:]))
-    with np.errstate(divide="ignore"):  # a silent frame's level is -inf, below any floor
-        keep = 20.0 * np.log10(np.sqrt(mean_power)) > energy_floor_db
-    samples = clip.samples[np.repeat(keep, frame_len)[:n]]
-    return AudioClip(samples, clip.sample_rate, clip.speaker_id, clip.label)
+        keep, trimmed = np.ones(-(-n // frame_len), dtype=bool), clip
+    else:
+        full = n - n % frame_len
+        power = clip.samples**2
+        mean_power = np.mean(power[:full].reshape(-1, frame_len), axis=1)
+        if full < n:
+            mean_power = np.append(mean_power, np.mean(power[full:]))
+        with np.errstate(divide="ignore"):  # a silent frame's level is -inf, below any floor
+            keep = 20.0 * np.log10(np.sqrt(mean_power)) > energy_floor_db
+        trimmed = keep_frames(clip, keep, frame_s)
+    return trimmed, keep
+
+
+def keep_frames(clip: AudioClip, keep: np.ndarray, frame_s: float) -> AudioClip:
+    """The clip without the frames of frame_s whose keep flag is false, framed as trim_silence frames it."""
+    frame_len, n = int(round(frame_s * clip.sample_rate)), clip.samples.size
+    keep = np.asarray(keep, dtype=bool)
+    if frame_len < 1 or keep.shape != (-(-n // frame_len),):
+        raise ValueError(f"{keep.size} frame flags for {n} samples in frames of {frame_len}")
+    return AudioClip(clip.samples[np.repeat(keep, frame_len)[:n]], clip.sample_rate, clip.speaker_id, clip.label)
 
 
 class _ClipDraw(NamedTuple):
@@ -217,51 +231,31 @@ def _draw_clip(rng: np.random.Generator, label: int, duration_s: float, sample_r
     )
 
 
-def _render_clip(draw: _ClipDraw, threads: int = 1) -> np.ndarray:
+def _render_clip(draw: _ClipDraw) -> np.ndarray:
     """A clip's samples, computed from its draws into draw.noise, which is returned.
 
-    Uses no generator, so any process can render any clip, with the same bytes.
-    Sample-wise formulas run a block at a time, so memory peaks at three
-    clip-sized arrays: the noise, the signal and the squares of its level.
-    Each sample-wise loop deals its blocks round-robin to `threads` threads,
-    the calling thread and threads - 1 pool threads (numpy's ufuncs release
-    the interpreter lock). Every value depends only on its own block, and the
-    cumulative sum and the mean level run on the calling thread, so the bytes
-    do not depend on the thread count.
+    Uses no generator, so any process or thread can render any clip, with the
+    same bytes. Sample-wise formulas run a block at a time, so memory peaks at
+    three clip-sized arrays: the noise, the signal and the squares of its level.
+    Calls nothing the benchmark's tracer wraps, so it may run off the main thread.
     """
     rate, n = draw.sample_rate, draw.noise.size
     blocks = [slice(start, min(start + _RENDER_BLOCK, n)) for start in range(0, n, _RENDER_BLOCK)]
-    shares = [blocks[i::threads] for i in range(threads)]  # one share per thread, not a task per block
     signal = np.empty(n)
-
-    def jitter(b):  # 1% FM jitter around the fundamental, to be integrated to instantaneous phase
+    for b in blocks:  # 1% FM jitter around the fundamental, integrated to instantaneous phase
         t = np.arange(b.start, b.stop) / rate
         signal[b] = draw.f0 * (1.0 + 0.01 * np.sin(2.0 * np.pi * draw.jitter_rate * t + draw.jitter_phase))
-
-    def harmonics(b):  # harmonics of the phase in signal[b], times the amplitude envelope
+    np.cumsum(signal, out=signal)
+    signal *= 2.0 * np.pi
+    signal /= rate
+    for b in blocks:
         tone = np.zeros(b.stop - b.start)
         for h in range(1, _N_HARMONICS + 1):
             tone += np.sin(h * signal[b] + draw.harmonic_phases[h - 1]) / h
         t = np.arange(b.start, b.stop) / rate
         envelope = 1.0 - 0.4 * (1.0 + np.sin(2.0 * np.pi * draw.mod_rate * t + draw.mod_phase))  # in [0.2, 1]
         signal[b] = tone * envelope
-
-    def on_every_block(fn, pool):  # the calling thread takes the first share, the pool the others
-        rest = pool.map(lambda share: [fn(b) for b in share], shares[1:])  # submitted here
-        for b in shares[0]:
-            fn(b)  # a block's temporaries are freed when its call returns
-        list(rest)  # reading each result raises its exception
-
-    # imported here, so that reading WAVs and manifests does not load the executor and logging (0.6 MB)
-    from concurrent.futures import ThreadPoolExecutor
-
-    # one per call, so no thread outlives the clip; at threads = 1 it gets no task and starts no thread
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        on_every_block(jitter, pool)
-        np.cumsum(signal, out=signal)
-        signal *= 2.0 * np.pi
-        signal /= rate
-        on_every_block(harmonics, pool)
+    del t, tone, envelope  # a block each, not needed past the loop
 
     noise = draw.noise
     noise *= float(np.sqrt(np.mean(signal**2))) * 10.0 ** (_NOISE_DB / 20.0)
@@ -287,10 +281,11 @@ def synth_corpus(
     fundamental band than class 1 and modulate faster.
 
     Each clip goes to on_clip(entry, clip) in speaker order as soon as it is
-    made, and is not kept. Every random draw is made here, in one order;
-    render(_render_clip, draws) turns them into samples, in order. Any map
-    gives the same samples, for _render_clip uses no generator: the builtin
-    renders each clip only once the one before it has been handed over.
+    made, and is not kept. Every random draw is made here, on the calling
+    thread, in one order; render(_render_clip, draws) turns them into samples,
+    in order. Any map gives the same samples, for _render_clip uses no
+    generator: the builtin renders each clip only once the one before it has
+    been handed over, and a thread or process map may render several at once.
     """
     if n_speakers_per_class < 1:
         raise ValueError("need at least one speaker per class")

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from .audio_io import (
     CorpusManifest,
+    keep_frames,
     load_manifest,
     load_wav,
     save_manifest,
@@ -180,51 +180,81 @@ def _call_inherited(task):
     return fn(inherited, task)
 
 
-def _map(fn, tasks, jobs: int, inherited):
+def _window(jobs: int, threads: int) -> int:
+    """How many tasks _map(..., jobs, ..., threads) keeps submitted and not yet yielded."""
+    return 2 * jobs if jobs > 1 else threads
+
+
+def _map(fn, tasks, jobs: int, inherited, threads: int = 1):
     """Yield fn(inherited, task) for each task in order, in `jobs` forked worker processes when jobs > 1.
 
-    At jobs = 1 a task is taken only once the result before it has been; above
-    that at most 2 * jobs tasks are submitted and not yet yielded, so a lazy
-    task stream stays bounded. Only the tasks and results are pickled: the
-    workers are forked with `inherited` already in memory and share its pages
-    copy-on-write.
+    At jobs = 1 the tasks run on `threads` threads of this process, or in line
+    at threads = 1, where a task is taken only once the result before it has
+    been. Either executor keeps at most _window(jobs, threads) tasks submitted
+    and not yet yielded, so a lazy task stream stays bounded, and the task
+    stream is only ever read on the calling thread. Only the tasks and results
+    of worker processes are pickled: they are forked with `inherited` already
+    in memory and share its pages copy-on-write.
     """
-    if jobs == 1:
+    if jobs == 1 and threads == 1:
         yield from (fn(inherited, task) for task in tasks)
         return
-    # fork keeps the malloc thresholds; the executor forks every worker before it starts its own thread
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(jobs, mp_context=fork, initializer=_inherit, initargs=(fn, inherited)) as pool:
+    # imported here, so that an in-line run does not load the executors (0.6 MB with logging);
+    # the package loads only the executor asked for
+    from concurrent import futures
+
+    if jobs > 1:
+        import multiprocessing
+
+        # fork keeps the malloc thresholds; the executor forks every worker before it starts its own thread
+        fork = multiprocessing.get_context("fork")
+        executor = futures.ProcessPoolExecutor(jobs, mp_context=fork, initializer=_inherit, initargs=(fn, inherited))
+        call = _call_inherited
+    else:
+        executor = futures.ThreadPoolExecutor(threads)
+        call = functools.partial(fn, inherited)
+    window = _window(jobs, threads)
+    with executor as pool:  # leaving it joins every worker, so none outlives the map
         in_flight = deque()
         for task in tasks:
-            if len(in_flight) == 2 * jobs:
+            if len(in_flight) == window:
                 yield in_flight.popleft().result()
-            in_flight.append(pool.submit(_call_inherited, task))
+            in_flight.append(pool.submit(call, task))
         while in_flight:
             yield in_flight.popleft().result()
 
 
 # ---------------------------------------------------------------- synth
 
+# Clips that synth --jobs 1 renders at once, at most. Two threads took synth of
+# the reference corpus from 6.2 to 4.6 s on 2 cores; no machine with more cores
+# has been measured, and each clip's numpy calls take turns at the interpreter lock.
+_RENDER_THREADS = 2
+
+
 def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
     seed = cfg["seed"]
     duration_s, rate = cfg["synth.duration_s"], cfg["synth.sample_rate"]
     if rate > 0xFFFFFFFF:
         raise CliError("config", f"synth.sample_rate={rate} does not fit the 32-bit rate of a WAV header")
+    # at --jobs 1, one clip per usable core, up to _RENDER_THREADS, renders on a thread;
+    # --jobs N workers render one clip each
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(cores, _RENDER_THREADS)
+    in_flight = _window(jobs, threads)
     if math.isfinite(duration_s) and duration_s > 0.0 and rate >= 1:  # synth_corpus rejects the rest
         if round(duration_s / 2.0 * rate) < 1:
             raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
-        # the noise, the signal and the squares of its level, for the longest clip, per concurrent render
-        plan = 3 * 8 * jobs * duration_s * rate
+        # float64 arrays of the longest clip: the noise, the signal and the squares of its level per clip
+        # in flight, plus the clip being written and the next draw
+        plan = 8 * (3 * in_flight + 2) * duration_s * rate
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if plan > physical:
             raise CliError(
                 "config",
-                f"rendering {jobs} clips of synth.duration_s={duration_s} at {rate} Hz at once needs "
+                f"rendering {in_flight} clips of synth.duration_s={duration_s} at {rate} Hz at once needs "
                 f"{plan:.0f} bytes, more than the {physical} bytes of physical memory",
             )
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = max(1, cores // jobs)  # the --jobs workers share the usable cores
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
@@ -232,8 +262,8 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         entry.path = f"wav/{entry.speaker_id}.wav"
         write_wav(out_dir / entry.path, clip)
 
-    def render(fn, draws):  # map(fn, draws) through _map, each clip's blocks on `threads` threads
-        return _map(lambda f, draw: f(draw, threads), draws, jobs, fn)
+    def render(fn, draws):  # map(fn, draws) through _map
+        return _map(lambda f, draw: f(draw), draws, jobs, fn, threads)
 
     entries = []
     for split, per_class, split_seed in (
@@ -261,21 +291,19 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
 
 # ------------------------------------------------------------ featurize
 
-def _crop_count(cfg_values: dict, entry_path: Path) -> tuple[int, int]:
-    """Crops available in one clip after silence trimming, and its sample rate."""
-    clip = trim_silence(
-        load_wav(entry_path), cfg_values["trim.frame_s"], cfg_values["trim.floor_db"]
-    )
-    return len(crop(clip, cfg_values["sampling.crop_s"])), clip.sample_rate
+def _crop_count(cfg_values: dict, entry_path: Path) -> tuple[int, int, np.ndarray]:
+    """Crops available in one clip after silence trimming, its sample rate and its per-frame keep mask."""
+    clip, keep = trim_silence(load_wav(entry_path), cfg_values["trim.frame_s"], cfg_values["trim.floor_db"])
+    return len(crop(clip, cfg_values["sampling.crop_s"])), clip.sample_rate, keep
 
 
 def _featurize_speaker(inherited, task) -> list:
-    """Features for the wanted crop indices of one speaker's clip."""
+    """Features for the wanted crop indices of one speaker's clip, trimmed by its keep mask."""
     cfg_values, stft_cfg = inherited
-    path, speaker_id, label, wanted = task
+    path, speaker_id, label, keep, wanted = task
     clip = load_wav(path)
     clip.speaker_id, clip.label = speaker_id, label
-    clip = trim_silence(clip, cfg_values["trim.frame_s"], cfg_values["trim.floor_db"])
+    clip = keep_frames(clip, keep, cfg_values["trim.frame_s"])
     return [
         featurize_raw(c, clip.sample_rate, stft_cfg)  # the cache normalizes on read
         for c in crop(clip, cfg_values["sampling.crop_s"])
@@ -283,13 +311,15 @@ def _featurize_speaker(inherited, task) -> list:
     ]
 
 
-def _featurize_split(entries, manifest_dir: Path, ordered_keys, cfg: RunConfig, stft_cfg: StftConfig, jobs: int):
+def _featurize_split(
+    entries, manifest_dir: Path, ordered_keys, keeps: dict, cfg: RunConfig, stft_cfg: StftConfig, jobs: int
+):
     """Features for (speaker, crop_index) keys, returned in the given order."""
     wanted: dict[str, set[int]] = {}
     for speaker_id, crop_index in ordered_keys:
         wanted.setdefault(speaker_id, set()).add(crop_index)
     tasks = [
-        (str(manifest_dir / e.path), e.speaker_id, e.label, wanted[e.speaker_id])
+        (str(manifest_dir / e.path), e.speaker_id, e.label, keeps[e.speaker_id], wanted[e.speaker_id])
         for e in entries
         if e.speaker_id in wanted
     ]
@@ -318,10 +348,10 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
 
     entries = train_entries + test_entries
     paths = [manifest_dir / e.path for e in entries]
-    counts = {}
+    counts, keeps = {}, {}
     first_rate = None
-    for e, path, (count, rate) in zip(entries, paths, _map(_crop_count, paths, jobs, cfg.values)):
-        counts[e.speaker_id] = count
+    for e, path, (count, rate, keep) in zip(entries, paths, _map(_crop_count, paths, jobs, cfg.values)):
+        counts[e.speaker_id], keeps[e.speaker_id] = count, keep
         if first_rate is None:
             first_path, first_rate = path, rate
         elif rate != first_rate:
@@ -335,7 +365,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
         {e.speaker_id: counts[e.speaker_id] for e in test_entries}, cap=cfg["sampling.eval_cap"]
     )
 
-    train_features = _featurize_split(train_entries, manifest_dir, train_order, cfg, stft_cfg, jobs)
+    train_features = _featurize_split(train_entries, manifest_dir, train_order, keeps, cfg, stft_cfg, jobs)
     write_feature_cache(out_dir / "train.lspg", train_features)
     summary = {
         "train_cache": "train.lspg",
@@ -349,7 +379,7 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
     }
     del train_features  # written; free it before the test features are made
     if test_entries:
-        test_features = _featurize_split(test_entries, manifest_dir, test_order, cfg, stft_cfg, jobs)
+        test_features = _featurize_split(test_entries, manifest_dir, test_order, keeps, cfg, stft_cfg, jobs)
         write_feature_cache(out_dir / "test.lspg", test_features)
         summary["test_cache"] = "test.lspg"
         summary["test_crops"] = len(test_features)
@@ -612,8 +642,8 @@ def _build_parser() -> _Parser:
             "--jobs",
             type=int,
             default=1,
-            help="worker processes (1 = sequential); synth renders each clip on usable cores // N threads, "
-            "with the same bytes",
+            help="worker processes (1 = one process; synth then renders a clip per usable core, up to 2, on threads); "
+            "every N writes the same bytes",
         )
 
     common(sub.add_parser("synth", help="generate a synthetic labeled corpus"))
@@ -642,13 +672,17 @@ def _keep_temporaries_resident() -> None:
     passes allocate and free arrays of a few MB each, so until some larger
     array happens to be freed, every pass maps or trims them again and
     page-faults them anew. Fixed thresholds keep arrays under 32 MB on a heap
-    trimmed only past 64 MB of free top. Other C libraries are left as they are.
+    trimmed only past 64 MB of free top. One arena serves every thread, for
+    each further arena would keep that much free too: synth's render threads
+    otherwise took its peak from about 80 to 112 MB. Other C libraries are
+    left as they are.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def main(argv=None) -> int:

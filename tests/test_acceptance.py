@@ -61,7 +61,7 @@ def _report(capsys, number, description, ok, detail=""):
 def test_criterion_01_feature_shape(capsys):
     clips = []
     synth_corpus(1, 12.0, seed=0, on_clip=lambda entry, clip: clips.append(clip))
-    clip = trim_silence(clips[0], 0.1, -60.0)
+    clip = trim_silence(clips[0], 0.1, -60.0)[0]
     feat = feature_set([featurize_raw(crop(clip, 4.0)[0], clip.sample_rate)])[0]
     ok = feat.shape == (513, 125)
     _report(capsys, 1, "a 4 s crop at 16 kHz featurizes to 513x125", ok, f"shape={feat.shape}")

@@ -10,6 +10,7 @@ from speechdep.audio_io import (
     MalformedHeaderError,
     ManifestEntry,
     UnsupportedEncodingError,
+    keep_frames,
     load_manifest,
     load_wav,
     save_manifest,
@@ -119,7 +120,7 @@ def test_trim_silence_drops_quiet_frames():
     tone = 0.5 * np.sin(2 * np.pi * 440 * np.arange(rate // 5) / rate)
     silence = np.zeros(rate // 5)
     clip = AudioClip(np.concatenate([tone, silence, tone]), rate, "spk", 1)
-    trimmed = trim_silence(clip, frame_s=0.1)
+    trimmed = trim_silence(clip, frame_s=0.1)[0]
     assert trimmed.samples.size == 2 * tone.size
     assert trimmed.speaker_id == "spk" and trimmed.label == 1
 
@@ -129,16 +130,16 @@ def test_trim_silence_idempotent():
     rng = np.random.default_rng(4)
     parts = [rng.uniform(-0.4, 0.4, rate // 10), np.zeros(rate // 10), rng.uniform(-0.4, 0.4, rate // 4)]
     clip = AudioClip(np.concatenate(parts), rate)
-    once = trim_silence(clip)
-    twice = trim_silence(once)
+    once = trim_silence(clip)[0]
+    twice = trim_silence(once)[0]
     np.testing.assert_array_equal(once.samples, twice.samples)
 
 
 def test_trim_silence_all_quiet_and_short_clips():
     rate = 16000
-    assert trim_silence(AudioClip(np.zeros(rate), rate)).samples.size == 0
+    assert trim_silence(AudioClip(np.zeros(rate), rate))[0].samples.size == 0
     short = AudioClip(np.zeros(10), rate)
-    assert trim_silence(short).samples.size == 10
+    assert trim_silence(short)[0].samples.size == 10
     with pytest.raises(ValueError, match="at 3 Hz .* 0 samples"):  # 0.1 s rounds to 0 samples
         trim_silence(AudioClip(np.ones(10), 3))
 
@@ -192,8 +193,27 @@ def _trim_cases():
 def test_trim_silence_is_bitwise_the_frame_loop(clip):
     for floor in (-60.0, -40.0, -100.0):
         expected = _trim_silence_loop(clip, 0.1, floor)
-        got = trim_silence(clip, 0.1, floor).samples
+        got = trim_silence(clip, 0.1, floor)[0].samples
         assert got.dtype == expected.dtype and np.array_equal(got, expected), floor
+
+
+@pytest.mark.parametrize("clip", _trim_cases())
+def test_keep_mask_trims_the_same_samples_again(clip):
+    for floor in (-60.0, -40.0, -100.0):
+        trimmed, keep = trim_silence(clip, 0.1, floor)
+        assert keep.dtype == bool and keep.shape == (-(-clip.samples.size // 100),)  # one flag per frame
+        again = keep_frames(clip, keep, 0.1)
+        assert again.samples.dtype == trimmed.samples.dtype and np.array_equal(again.samples, trimmed.samples)
+
+
+def test_keep_mask_must_have_one_flag_per_frame():
+    clip = AudioClip(np.ones(250), 1000, "spk", 1)  # frames of 100, 100 and 50 samples
+    assert keep_frames(clip, [True, False, True], 0.1).samples.size == 150
+    for flags in ([True, True], [True] * 4, [[True, True, True]]):
+        with pytest.raises(ValueError, match="frame flags for 250 samples in frames of 100"):
+            keep_frames(clip, np.array(flags), 0.1)
+    with pytest.raises(ValueError, match="1 frame flags for 10 samples in frames of 0"):  # 0.1 s at 3 Hz
+        keep_frames(AudioClip(np.ones(10), 3), [True], 0.1)
 
 
 def _synth_clip_formula(rng, label, duration_s, sample_rate):
@@ -219,14 +239,13 @@ def _synth_clip_formula(rng, label, duration_s, sample_rate):
     return np.clip(signal, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(6))
-def test_rendered_draws_are_bitwise_the_formula(seed, threads):
+def test_rendered_draws_are_bitwise_the_formula(seed):
     label = seed % 2
     # shorter than one render block, several blocks with a partial last one, and 8 kHz
     for duration_s, rate in ((0.3, 16000), (2.7183, 16000), (5.0, 8000)):
         drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        samples = _render_clip(_draw_clip(drawn, label, duration_s, rate), threads)
+        samples = _render_clip(_draw_clip(drawn, label, duration_s, rate))
         assert np.array_equal(samples, _synth_clip_formula(reference, label, duration_s, rate))
         assert drawn.random() == reference.random()  # the draws left the generator in the same state
 

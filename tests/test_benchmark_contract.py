@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import sys
 import threading
 from pathlib import Path
@@ -76,26 +77,63 @@ def test_synth_renders_every_clip_inside_synth_corpus(tmp_path, monkeypatch):
     assert outside == [False] * 6
 
 
+def _spy_on_traced(monkeypatch, module_names) -> list[tuple[str, bool]]:
+    """Spy on every traced function of the named modules under every binding, as the tracer rebinds them.
+
+    Returns the list each call appends its `module.function` name and whether it ran on the main thread to.
+    """
+    calls = []
+    for module_name, names in _traced_table().items():
+        if module_name not in module_names:
+            continue
+        for name in names:
+            original = getattr(importlib.import_module(f"speechdep.{module_name}"), name)
+
+            def spy(*args, original=original, name=f"{module_name}.{name}", **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return original(*args, **kwargs)
+
+            for loaded_name, module in list(sys.modules.items()):
+                if loaded_name.startswith("speechdep"):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def _synth(out, jobs=1):
+    sizes = ["synth.speakers_per_class=2", "synth.test_speakers_per_class=1", "synth.duration_s=5"]
+    assert cli.main(["synth", "--out", str(out), "--jobs", str(jobs), *(f"--set={kv}" for kv in sizes)]) == 0
+
+
 def test_synth_runs_every_traced_audio_io_function_on_the_main_thread(tmp_path, monkeypatch):
     """The tracer keeps one open-span stack, so the render threads must call nothing it wraps."""
-    names = _traced_table()["audio_io"]
-    threads = []
-    for name in names:
-        original = getattr(audio_io, name)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)  # three render threads
+    calls = _spy_on_traced(monkeypatch, ["audio_io"])
+    _synth(tmp_path)
+    assert {name for name, _ in calls} == {"audio_io.synth_corpus", "audio_io.write_wav", "audio_io.save_manifest"}
+    assert all(on_main for _, on_main in calls), calls
 
-        def spy(*args, original=original, name=name, **kwargs):
-            threads.append((name, threading.current_thread() is threading.main_thread()))
-            return original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):  # every binding, as the tracer rebinds them
-            if module_name.startswith("speechdep"):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, spy)
-    sizes = ["synth.speakers_per_class=2", "synth.test_speakers_per_class=1", "synth.duration_s=3"]
-    assert cli.main(["synth", "--out", str(tmp_path), "--jobs", "1", *(f"--set={kv}" for kv in sizes)]) == 0
-    assert {name for name, _ in threads} == {"synth_corpus", "write_wav", "save_manifest"}
-    assert all(on_main for _, on_main in threads), threads
+def test_featurize_runs_every_traced_function_it_calls_on_the_main_thread(tmp_path, monkeypatch):
+    """The tracer keeps one open-span stack, so featurize at --jobs 1 must call what it wraps in line."""
+    _synth(tmp_path / "corpus")
+    calls = _spy_on_traced(monkeypatch, ["audio_io", "sampling", "features"])
+    argv = ["featurize", "--manifest", str(tmp_path / "corpus" / "manifest.csv"), "--out", str(tmp_path / "f")]
+    assert cli.main([*argv, "--jobs", "1", "--set=sampling.crop_s=1"]) == 0
+    assert {name for name, _ in calls} == {
+        "audio_io.load_manifest",
+        "audio_io.load_wav",
+        "audio_io.trim_silence",
+        "sampling.crop",
+        "sampling.plan_balanced",
+        "sampling.materialize_training_set",
+        "sampling.materialize_eval_set",
+        "features.stft",
+        "features.featurize_raw",
+        "features.write_feature_cache",
+    }
+    assert all(on_main for _, on_main in calls), calls
 
 
 def _bench_module(name, monkeypatch):

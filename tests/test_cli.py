@@ -6,9 +6,13 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,8 +162,10 @@ def test_synth_bytes_are_golden_at_any_jobs(tmp_path, jobs):
     assert _synth_digests(tmp_path) == GOLDEN_SYNTH_SHA256
 
 
-def test_synth_memory_is_about_one_clip(tmp_path):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_synth_memory_is_about_one_clip_per_usable_core(tmp_path, monkeypatch, cores):
     """Clips are written as they are made, so memory never holds the corpus (10 clips here)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     cfg = RunConfig.defaults()
     for item in FAST[1::2]:
         cfg.set(*item.split("="))
@@ -171,9 +177,9 @@ def test_synth_memory_is_about_one_clip(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # float64 bytes of a synth.duration_s clip, the longest synth makes
+    # float64 bytes of a synth.duration_s clip, the longest synth makes; one renders per usable core
     clip_bytes = 8 * int(round(cfg["synth.duration_s"] * cfg["synth.sample_rate"]))
-    assert peak < 3 * clip_bytes, peak / clip_bytes
+    assert peak < 3 * cores * clip_bytes, peak / clip_bytes
 
 
 def test_featurize_writes_caches(pipe):
@@ -228,6 +234,30 @@ def test_featurize_jobs_2_writes_the_jobs_1_bytes(pipe, tmp_path):
     assert _run("featurize", *argv) == 0
     for name in ("train.lspg", "test.lspg", "run_summary.json"):
         assert (pipe.feats / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_featurize_trims_each_clip_once_as_trimming_each_loaded_clip_does(pipe, tmp_path, monkeypatch, jobs):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipe.corpus, corpus)
+    for i, wav in enumerate(sorted((corpus / "wav").glob("*.wav"))):  # silent stretches, some of part frames
+        clip = load_wav(wav)
+        start = 8000 + 1500 * i
+        clip.samples[start : start + 20000 + 700 * i] = 0.0
+        clip.samples[-3000 - 100 * i :] = 0.0
+        write_wav(wav, clip)
+        assert audio_io.trim_silence(load_wav(wav), 0.07)[0].samples.size < clip.samples.size
+    argv = ["--manifest", corpus / "manifest.csv", "--seed", SEED, "--jobs", jobs, *FAST, "--set", "trim.frame_s=0.07"]
+    trims, trim = [], audio_io.trim_silence
+    monkeypatch.setattr(cli, "trim_silence", lambda *a, **k: trims.append(1) or trim(*a, **k))
+    assert _run("featurize", *argv, "--out", tmp_path / "once") == 0
+    if jobs == 1:
+        assert len(trims) == 10  # one trim per clip; the workers' calls are not seen at --jobs 2
+    # the reference trims every loaded clip again, as featurize did before it kept each clip's mask
+    monkeypatch.setattr(cli, "keep_frames", lambda clip, keep, frame_s: trim(clip, frame_s, -60.0)[0])
+    assert _run("featurize", *argv, "--out", tmp_path / "again") == 0
+    for name in ("train.lspg", "test.lspg", "run_summary.json"):
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "again" / name).read_bytes(), name
 
 
 def test_curve_jobs_2_writes_the_jobs_1_bytes(pipe, tmp_path):
@@ -373,6 +403,32 @@ def test_map_at_jobs_1_takes_each_task_only_once_the_last_result_is_taken():
     assert pulled == []
     for n, result in enumerate(results, start=1):
         assert result == 9 + n and len(pulled) == n
+
+
+def test_map_on_threads_yields_in_task_order_and_keeps_its_window():
+    main_thread, pulled, lock, running, most = threading.get_ident(), [], threading.Lock(), [0], [0]
+
+    def tasks():
+        for t in range(12):
+            assert threading.get_ident() == main_thread  # the task stream is read on the calling thread only
+            pulled.append(t)
+            yield t
+
+    def square(inherited, t):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.02 if t % 3 == 0 else 0.0)  # later tasks finish first
+        with lock:
+            running[0] -= 1
+        return inherited, t * t, threading.get_ident() != main_thread
+
+    ahead = []
+    for n, result in enumerate(cli._map(square, tasks(), 1, "x", threads=3), start=1):
+        assert result == ("x", (n - 1) ** 2, True)
+        ahead.append(len(pulled) - n)
+    assert max(ahead) == 3 and len(ahead) == 12, ahead
+    assert 1 < most[0] <= 3
 
 
 def test_map_at_jobs_2_keeps_at_most_4_tasks_ahead_of_its_results():
@@ -626,6 +682,26 @@ def _stages(cache, root):
 def test_small_cache_runs(small_cache):
     for argv in _stages(small_cache.good, small_cache.root):
         assert _run(*argv) == 0
+
+
+def test_stages_at_jobs_1_load_no_executor(small_cache, tmp_path):
+    """Only _map's parallel paths import multiprocessing and concurrent.futures."""
+    cache, models = small_cache.good, tmp_path / "m"
+    stages = [
+        ["train", "--cache", cache, "--out", models, *_SMALL_RUN],
+        *([stage, "--models", models, "--cache", cache, "--out", tmp_path / stage] for stage in ("evaluate", "curve")),
+    ]
+    script = (
+        "import sys\n"
+        "from speechdep.cli import main\n"
+        f"for argv in {[[str(a) for a in argv] for argv in stages]!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def _mangled(blob, records, kind, where, value):
@@ -1043,36 +1119,55 @@ def test_sample_rate_past_the_wav_header_is_one_config_error_line_before_any_fil
 def test_clip_too_big_for_memory_is_one_config_error_line_before_any_draw(tmp_path, capsys, monkeypatch, jobs):
     draws = []
     monkeypatch.setattr(audio_io, "_draw_clip", lambda *args: draws.append(args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", "synth.duration_s=1e12", "--jobs", jobs)
-    plan = 3 * 8 * jobs * 1e12 * 16000  # three float64 arrays of the longest clip per concurrent render
+    in_flight = {1: 2, 2: 4}[jobs]  # a clip per usable core up to 2 at --jobs 1, the 2 * jobs process window above
+    plan = 8 * (3 * in_flight + 2) * 1e12 * 16000  # float64 clips: 3 per clip in flight, one written, one drawn
     assert f"needs {plan:.0f} bytes" in _assert_one_error_line(code, capsys, "config")
     assert draws == [] and not (tmp_path / "c" / "wav").exists()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs, cores", [(1, 1), (1, 2), (1, 5), (2, 5)])
 @pytest.mark.parametrize("affinity", [True, False])
-def test_synth_renders_each_clip_on_usable_cores_over_jobs_threads(tmp_path, monkeypatch, jobs, affinity):
-    log, render = tmp_path / "threads.log", audio_io._render_clip
+def test_synth_renders_one_clip_per_usable_core_with_the_golden_bytes(tmp_path, monkeypatch, jobs, cores, affinity):
+    log, render = tmp_path / "renders.log", audio_io._render_clip
+    lock, rendering, most = threading.Lock(), [0], [0]
 
-    def spied_render(draw, threads):  # appends to a file, for at --jobs 2 it runs in the workers
-        with open(log, "a") as fh:
-            fh.write(f"{threads}\n")
-        return render(draw, threads)
+    def spied_render(draw):  # appends to a file, for at --jobs 2 it runs in the workers
+        with lock:
+            rendering[0] += 1
+            most[0] = max(most[0], rendering[0])
+        try:
+            return render(draw)
+        finally:
+            with lock:
+                rendering[0] -= 1
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {threading.get_ident()} {most[0]}\n")
 
     monkeypatch.setattr(audio_io, "_render_clip", spied_render)
     if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     else:
         monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert _run("synth", "--out", tmp_path / "c", "--jobs", jobs, *_GOLDEN_SYNTH) == 0
-    assert log.read_text().split() == [str(5 // jobs)] * 6
     assert _synth_digests(tmp_path / "c") == GOLDEN_SYNTH_SHA256
+    renders = [line.split() for line in log.read_text().splitlines()]
+    assert len(renders) == 6
+    if jobs == 1:
+        threads = {ident for _, ident, _ in renders}
+        most_threads = min(cores, cli._RENDER_THREADS)
+        assert len(threads) <= most_threads and max(int(most) for _, _, most in renders) <= most_threads
+        assert (threading.get_ident() in map(int, threads)) == (cores == 1)  # in line at one core, else off it
+    else:
+        assert str(os.getpid()) not in {pid for pid, _, _ in renders}  # in the workers, one clip each
+        assert {most for _, _, most in renders} == {"1"}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_synth_leaves_no_thread_running(tmp_path, monkeypatch, jobs):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)  # 2 or 4 threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)  # 2 threads or 2 processes
     cfg = RunConfig.defaults()
     for item in FAST[1::2]:
         cfg.set(*item.split("="))
