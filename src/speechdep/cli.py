@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,12 +55,22 @@ from .evaluation import (
 )
 from .features import StftConfig, featurize_raw, open_feature_cache, write_feature_cache
 from .network import NetworkConfig, NetworkParams, load_model, save_model
-from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
+from .sampling import (
+    DEFAULT_CROP_S,
+    DEFAULT_EVAL_CAP,
+    crop,
+    materialize_eval_set,
+    materialize_training_set,
+    plan_balanced,
+)
 from .trainer import TrainConfig, TrainingDivergedError, planned_bytes, train, write_history_csv
 
-# key -> (type, default); defaults follow the best-performing configuration:
-# 128 filters, pool kernel 5 / stride 4 / pad 4, 128 hidden units, 50 epochs,
-# batch 80, 50 machines fused with method 1.
+
+# key -> (type, default). A section's keys are the defaulted fields of its config dataclass, each
+# typed as its default is (so a float field's default is written as a float). The defaults are the
+# best-performing configuration: 128 filters, pool kernel 5 / stride 4 / pad 4, 128 hidden units,
+# 50 epochs, batch 80, 50 machines fused with method 1.
+_SECTIONS = {"stft": StftConfig, "network": NetworkConfig, "train": TrainConfig, "ensemble": EnsembleConfig}
 CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "seed": (int, 0),
     "synth.speakers_per_class": (int, 31),
@@ -68,28 +79,16 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "synth.sample_rate": (int, 16000),
     "trim.frame_s": (float, 0.1),
     "trim.floor_db": (float, -60.0),
-    "sampling.crop_s": (float, 4.0),
-    "sampling.eval_cap": (int, 89),
-    "stft.window_s": (float, 0.064),
-    "stft.hop_s": (float, 0.032),
-    "stft.n_fft": (int, 1024),
-    "network.filters": (int, 128),
-    "network.pool_kernel": (int, 5),
-    "network.pool_stride": (int, 4),
-    "network.pool_pad": (int, 4),
-    "network.hidden": (int, 128),
-    "train.epochs": (int, 50),
-    "train.batch_size": (int, 80),
-    "train.lr_start": (float, 1.0),
-    "train.lr_end": (float, 0.01),
-    "train.rho": (float, 0.95),
-    "train.eps": (float, 1e-6),
-    "ensemble.machines": (int, 50),
-    "ensemble.method": (int, 1),
-    "ensemble.threshold": (float, 0.5),
-    "ensemble.tie_seed": (int, 0),
+    "sampling.crop_s": (float, DEFAULT_CROP_S),
+    "sampling.eval_cap": (int, DEFAULT_EVAL_CAP),
     "curve.m_values": (str, ""),  # comma-separated; empty means 1..pool size
     "curve.n_combinations": (int, 200),
+    **{
+        f"{prefix}.{field.name}": (type(field.default), field.default)
+        for prefix, factory in _SECTIONS.items()
+        for field in dataclasses.fields(factory)
+        if field.default is not dataclasses.MISSING and f"{prefix}.{field.name}" != "train.seed"  # `seed` feeds it
+    },
 }
 
 
@@ -188,7 +187,8 @@ def _window(jobs: int, threads: int) -> int:
 def _map(fn, tasks, jobs: int, inherited, threads: int = 1):
     """Yield fn(inherited, task) for each task in order, in `jobs` forked worker processes when jobs > 1.
 
-    At jobs = 1 the tasks run on `threads` threads of this process, or in line
+    A sized `tasks` gets no more processes or threads than it has tasks. At
+    jobs = 1 the tasks run on `threads` threads of this process, or in line
     at threads = 1, where a task is taken only once the result before it has
     been. Either executor keeps at most _window(jobs, threads) tasks submitted
     and not yet yielded, so a lazy task stream stays bounded, and the task
@@ -196,7 +196,9 @@ def _map(fn, tasks, jobs: int, inherited, threads: int = 1):
     of worker processes are pickled: they are forked with `inherited` already
     in memory and share its pages copy-on-write.
     """
-    if jobs == 1 and threads == 1:
+    if isinstance(tasks, Sized):  # no more workers than tasks
+        jobs, threads = min(jobs, len(tasks)), min(threads, len(tasks))
+    if jobs <= 1 and threads <= 1:
         yield from (fn(inherited, task) for task in tasks)
         return
     # imported here, so that an in-line run does not load the executors (0.6 MB with logging);
@@ -224,6 +226,13 @@ def _map(fn, tasks, jobs: int, inherited, threads: int = 1):
             yield in_flight.popleft().result()
 
 
+def _check_fits_memory(plan: int, doing: str) -> None:
+    """A config error unless `doing`, which needs `plan` bytes, fits in this machine's physical memory."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if plan > physical:
+        raise CliError("config", f"{doing} needs {plan} bytes, more than the {physical} bytes of physical memory")
+
+
 # ---------------------------------------------------------------- synth
 
 # Clips that synth --jobs 1 renders at once, at most. Two threads took synth of
@@ -246,15 +255,9 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         if round(duration_s / 2.0 * rate) < 1:
             raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
         # float64 arrays of the longest clip: the noise, the signal and the squares of its level per clip
-        # in flight, plus the clip being written and the next draw
-        plan = 8 * (3 * in_flight + 2) * duration_s * rate
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if plan > physical:
-            raise CliError(
-                "config",
-                f"rendering {in_flight} clips of synth.duration_s={duration_s} at {rate} Hz at once needs "
-                f"{plan:.0f} bytes, more than the {physical} bytes of physical memory",
-            )
+        # in flight, plus the clip being written and the next draw, in whole bytes
+        plan = round(8 * (3 * in_flight + 2) * duration_s * rate)
+        _check_fits_memory(plan, f"rendering {in_flight} clips of synth.duration_s={duration_s} at {rate} Hz at once")
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
@@ -415,13 +418,7 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
     freq_bins, time_steps = features.record_shape
     net_cfg = cfg.section(NetworkConfig, "network", freq_bins=freq_bins, time_steps=time_steps)
     plan = planned_bytes(net_cfg, train_cfg.batch_size, len(features), machines, min(jobs, machines))
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if plan > physical:
-        raise CliError(
-            "config",
-            f"training {machines} machines of {net_cfg.n_params} parameters needs {plan} bytes, "
-            f"more than the {physical} bytes of physical memory",
-        )
+    _check_fits_memory(plan, f"training {machines} machines of {net_cfg.n_params} parameters")
     # at most `jobs` contiguous groups, sizes differing by at most one
     groups = [g.tolist() for g in np.array_split(np.arange(machines), jobs) if g.size]
     inherited = (features, net_cfg, train_cfg, out_dir)
@@ -499,7 +496,7 @@ def _curve_task(inherited, task):
     preds, truth, n_combinations, threshold, seed = inherited
     method, m = task
     [point] = f1_vs_m_experiment(preds, truth, [m], n_combinations, method, threshold, seed)
-    return point
+    return method, point
 
 
 def _parse_m_values(raw: str, pool_size: int) -> list[int]:
@@ -514,7 +511,7 @@ def _parse_m_values(raw: str, pool_size: int) -> list[int]:
     for m in values:
         if not 1 <= m <= pool_size:
             raise CliError("config", f"curve.m_values entry {m} outside pool of {pool_size}")
-    return values
+    return sorted(set(values))
 
 
 def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
@@ -529,10 +526,8 @@ def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path,
     tasks = [(method, m) for method in (1, 2, 3) for m in m_values]
     inherited = (preds, truth, n_combinations, threshold, cfg["seed"])
     points: dict[int, list] = {1: [], 2: [], 3: []}
-    for (method, _), point in zip(tasks, _map(_curve_task, tasks, jobs, inherited)):
+    for method, point in _map(_curve_task, tasks, jobs, inherited):  # in task order, so each in increasing M
         points[method].append(point)
-    for method in points:
-        points[method].sort(key=lambda pt: pt.m)
 
     rows = []
     for method in (1, 2, 3):

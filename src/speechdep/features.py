@@ -43,6 +43,8 @@ class StftConfig:
         for name, value in (("window_s", self.window_s), ("hop_s", self.hop_s)):
             if not 0.0 < value < np.inf:  # false for nan too
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.n_fft < 2:  # a Hamming window of at least 2 samples must fit in it
+            raise ValueError(f"n_fft must be >= 2, got {self.n_fft}")
 
     def window_samples(self, sample_rate: int) -> int:
         return int(round(self.window_s * sample_rate))

@@ -54,12 +54,10 @@ class NetworkConfig:
     filters: int = 128
     pool_kernel: int = 5
     pool_stride: int = 4
-    pool_pad: int | None = None  # recorded for provenance; padding is implied by ceil
+    pool_pad: int = 4  # recorded for provenance; padding is implied by ceil
     hidden: int = 128
 
     def __post_init__(self):
-        if self.pool_pad is None:
-            self.pool_pad = self.pool_stride
         if min(self.freq_bins, self.time_steps, self.filters, self.hidden) < 1:
             raise ValueError("all dimensions must be >= 1")
         if self.pool_kernel < 1 or self.pool_stride < 1:

@@ -348,6 +348,19 @@ def test_curve_respects_m_values_subset(pipe, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:config:")
 
 
+def test_curve_takes_each_m_value_once_in_increasing_order(pipe, tmp_path):
+    for name, m_values in (("repeated", "2,1,2"), ("plain", "1,2")):
+        assert _run(
+            "curve", "--models", pipe.models, "--cache", pipe.feats / "test.lspg", "--out", tmp_path / name,
+            "--set", f"curve.m_values={m_values}", "--set", "curve.n_combinations=3", *FAST,
+        ) == 0
+    repeated, plain = tmp_path / "repeated", tmp_path / "plain"
+    for name in ("curve.csv", "curve.svg"):
+        assert (repeated / name).read_bytes() == (plain / name).read_bytes(), name
+    summaries = [json.loads((out / "run_summary.json").read_text())["summary"] for out in (repeated, plain)]
+    assert summaries[0] == summaries[1] and summaries[0]["m_values"] == [1, 2] and summaries[0]["rows"] == 12
+
+
 def test_echoed_config_reproduces_run(pipe, tmp_path):
     echoed = pipe.models / "config_echo.cfg"
     assert echoed.is_file()
@@ -361,6 +374,48 @@ def test_schema_types_are_consistent():
     for key, (kind, default) in CONFIG_SCHEMA.items():
         assert kind in (int, float, str), key
         assert isinstance(default, kind), key
+
+
+# The default config_echo.cfg, every key: a field added to a section's config dataclass becomes a key, so it shows here.
+DEFAULT_ECHO_LINES = (
+    "curve.m_values = ",
+    "curve.n_combinations = 200",
+    "ensemble.machines = 50",
+    "ensemble.method = 1",
+    "ensemble.threshold = 0.5",
+    "ensemble.tie_seed = 0",
+    "network.filters = 128",
+    "network.hidden = 128",
+    "network.pool_kernel = 5",
+    "network.pool_pad = 4",
+    "network.pool_stride = 4",
+    "sampling.crop_s = 4.0",
+    "sampling.eval_cap = 89",
+    "seed = 0",
+    "stft.hop_s = 0.032",
+    "stft.n_fft = 1024",
+    "stft.window_s = 0.064",
+    "synth.duration_s = 48.0",
+    "synth.sample_rate = 16000",
+    "synth.speakers_per_class = 31",
+    "synth.test_speakers_per_class = 10",
+    "train.batch_size = 80",
+    "train.epochs = 50",
+    "train.eps = 1e-06",
+    "train.lr_end = 0.01",
+    "train.lr_start = 1.0",
+    "train.rho = 0.95",
+    "trim.floor_db = -60.0",
+    "trim.frame_s = 0.1",
+)
+
+
+def test_default_config_echo_is_pinned():
+    expected = "\n".join(DEFAULT_ECHO_LINES) + "\n"
+    assert len(DEFAULT_ECHO_LINES) == len(CONFIG_SCHEMA) == 29
+    assert RunConfig.defaults().echo_text() == expected
+    resolved = cli._resolve_config(cli._build_parser().parse_args(["synth", "--out", "unused"]))
+    assert resolved.echo_text() == expected
 
 
 # a valid value for every key of a section that RunConfig.section builds, none of them its default
@@ -444,6 +499,34 @@ def test_map_at_jobs_2_keeps_at_most_4_tasks_ahead_of_its_results():
         assert result == ("x", (n - 1) ** 2)
         ahead.append(len(pulled) - n)
     assert max(ahead) == 4 and len(ahead) == 12, ahead
+
+
+def test_map_starts_no_more_workers_than_it_has_tasks(monkeypatch):
+    from concurrent import futures
+
+    real, started = futures.ProcessPoolExecutor, []
+
+    def spy(max_workers, **kwargs):
+        assert max_workers <= 2  # a fork-based pool forks every worker at the first submit
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a single task needs no thread pool")
+
+    def square(inherited, t):
+        return inherited + t * t
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", no_threads)
+    assert list(cli._map(square, [1, 2], 4, 10)) == [11, 14]
+    assert started == [2]
+    assert list(cli._map(square, [3], 64, 10)) == [19]  # one task runs in line
+    assert list(cli._map(square, [], 64, 10)) == []
+    assert list(cli._map(square, [3], 1, 10, threads=3)) == [19]
+    assert started == [2]
+    assert list(cli._map(square, iter([1, 2, 3]), 2, 10)) == [11, 14, 19]  # a lazy stream keeps its jobs
+    assert started == [2, 2]
 
 
 # SHA-256 of the artifacts of a fixed tiny run (float64 numpy on x86-64 with
@@ -1255,7 +1338,10 @@ def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
     assert calls == [] and not list((tmp_path / "o").glob("*"))
 
 
-@pytest.mark.parametrize("setting", ["stft.hop_s=0", "stft.hop_s=inf", "stft.window_s=nan", "stft.window_s=-0.5"])
+@pytest.mark.parametrize(
+    "setting",
+    ["stft.hop_s=0", "stft.hop_s=inf", "stft.window_s=nan", "stft.window_s=-0.5", "stft.n_fft=0", "stft.n_fft=1"],
+)
 def test_bad_stft_value_is_one_config_error_line_before_any_clip_is_read(pipe, tmp_path, capsys, monkeypatch, setting):
     calls = _forbid(monkeypatch, "load_wav")
     code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", "--set", setting)

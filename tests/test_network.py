@@ -284,8 +284,7 @@ def test_network_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be <= 4294967295"):
             NetworkConfig(**{"freq_bins": 5, "time_steps": 5, name: 2**32})
     NetworkConfig(freq_bins=5, time_steps=5, pool_pad=2**32 - 1)  # the largest u32 fits
-    cfg = NetworkConfig(freq_bins=5, time_steps=5)
-    assert cfg.pool_pad == cfg.pool_stride  # defaulted
+    assert NetworkConfig(freq_bins=5, time_steps=5, pool_stride=2).pool_pad == 4  # defaulted, whatever the stride
 
 
 # ---------------------------------------------------------------- batched path vs loop oracle
