@@ -240,24 +240,36 @@ def _check_fits_memory(plan: int, doing: str) -> None:
 # has been measured, and each clip's numpy calls take turns at the interpreter lock.
 _RENDER_THREADS = 2
 
+# Bytes that synth keeps per clip until the manifest is written, whatever the clip's length: its
+# manifest entry and label, and its id in the manifest's duplicate check. tracemalloc measured
+# 415 B per clip between corpora of 500 and 2,500 one-sample clips per class.
+_CLIP_RECORD_BYTES = 416
+
 
 def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
     seed = cfg["seed"]
     duration_s, rate = cfg["synth.duration_s"], cfg["synth.sample_rate"]
     if rate > 0xFFFFFFFF:
         raise CliError("config", f"synth.sample_rate={rate} does not fit the 32-bit rate of a WAV header")
+    splits = [
+        ("train", cfg["synth.speakers_per_class"], seed),
+        ("test", cfg["synth.test_speakers_per_class"], seed + 1),
+    ]
     # at --jobs 1, one clip per usable core, up to _RENDER_THREADS, renders on a thread;
-    # --jobs N workers render one clip each
+    # --jobs N workers render one clip each, and a split gets no more workers than it has clips
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = min(cores, _RENDER_THREADS)
-    in_flight = _window(jobs, threads)
+    workers = [min(jobs, 2 * per_class) for _, per_class, _ in splits]
+    in_flight = _window(max(workers), threads)
     if math.isfinite(duration_s) and duration_s > 0.0 and rate >= 1:  # synth_corpus rejects the rest
         if round(duration_s / 2.0 * rate) < 1:
             raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
         # float64 arrays of the longest clip: the noise, the signal and the squares of its level per clip
-        # in flight, plus the clip being written and the next draw, in whole bytes
-        plan = round(8 * (3 * in_flight + 2) * duration_s * rate)
-        _check_fits_memory(plan, f"rendering {in_flight} clips of synth.duration_s={duration_s} at {rate} Hz at once")
+        # in flight, plus the clip being written and the next draw, in whole bytes; and every clip's records
+        clips = 2 * sum(per_class for _, per_class, _ in splits)
+        plan = round(8 * (3 * in_flight + 2) * duration_s * rate) + _CLIP_RECORD_BYTES * clips
+        doing = f"synthesizing {clips} clips, {in_flight} at once, of synth.duration_s={duration_s} at {rate} Hz"
+        _check_fits_memory(plan, doing)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
@@ -265,22 +277,14 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         entry.path = f"wav/{entry.speaker_id}.wav"
         write_wav(out_dir / entry.path, clip)
 
-    def render(fn, draws):  # map(fn, draws) through _map
-        return _map(lambda f, draw: f(draw), draws, jobs, fn, threads)
+    def render(split_jobs):  # map(fn, draws) through _map
+        return lambda fn, draws: _map(lambda f, draw: f(draw), draws, split_jobs, fn, threads)
 
     entries = []
-    for split, per_class, split_seed in (
-        ("train", cfg["synth.speakers_per_class"], seed),
-        ("test", cfg["synth.test_speakers_per_class"], seed + 1),
-    ):
+    for (split, per_class, split_seed), split_jobs in zip(splits, workers):
         manifest = synth_corpus(
-            per_class,
-            cfg["synth.duration_s"],
-            sample_rate=cfg["synth.sample_rate"],
-            seed=split_seed,
-            split=split,
-            on_clip=write,
-            render=render,
+            per_class, duration_s, sample_rate=rate, seed=split_seed, split=split,
+            on_clip=write, render=render(split_jobs),
         )
         entries += manifest.entries
     save_manifest(out_dir / "manifest.csv", CorpusManifest(entries))
@@ -363,29 +367,34 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
     labels = {e.speaker_id: e.label for e in manifest.entries}
     train_counts = {e.speaker_id: counts[e.speaker_id] for e in train_entries}
     plan = plan_balanced(train_counts, labels, seed=seed)
-    train_order = materialize_training_set(plan, train_counts, seed=seed + 1)
-    test_order = materialize_eval_set(
-        {e.speaker_id: counts[e.speaker_id] for e in test_entries}, cap=cfg["sampling.eval_cap"]
-    )
+    test_counts = {e.speaker_id: counts[e.speaker_id] for e in test_entries}
+    orders = {
+        "train": materialize_training_set(plan, train_counts, seed=seed + 1),
+        "test": materialize_eval_set(test_counts, cap=cfg["sampling.eval_cap"]),
+    }
+    # the larger split's float32 features, all held until its cache is written, and per worker one crop's
+    # float64 windowed frames, complex128 spectrum and two float64 magnitudes of it; a hop that rounds to
+    # 0 samples is left to stft's own error
+    win, hop = stft_cfg.window_samples(first_rate), max(stft_cfg.hop_samples(first_rate), 1)
+    frames, held = round(cfg["sampling.crop_s"] * first_rate) // hop, max(map(len, orders.values()))
+    need = frames * (4 * held * stft_cfg.freq_bins + min(jobs, len(entries)) * (8 * win + 32 * stft_cfg.freq_bins))
+    _check_fits_memory(need, f"featurizing {held} crops")
 
-    train_features = _featurize_split(train_entries, manifest_dir, train_order, keeps, cfg, stft_cfg, jobs)
-    write_feature_cache(out_dir / "train.lspg", train_features)
     summary = {
-        "train_cache": "train.lspg",
-        "train_crops": len(train_features),
-        "feature_shape": list(train_features[0].shape),
         "plan": {
             "crops_per_speaker": plan.crops_per_speaker,
             "speakers_per_class": plan.speakers_per_class,
             "total": plan.total_samples,
         },
     }
-    del train_features  # written; free it before the test features are made
-    if test_entries:
-        test_features = _featurize_split(test_entries, manifest_dir, test_order, keeps, cfg, stft_cfg, jobs)
-        write_feature_cache(out_dir / "test.lspg", test_features)
-        summary["test_cache"] = "test.lspg"
-        summary["test_crops"] = len(test_features)
+    for split, split_entries in (("train", train_entries), ("test", test_entries)):
+        if not split_entries:
+            continue
+        features = _featurize_split(split_entries, manifest_dir, orders[split], keeps, cfg, stft_cfg, jobs)
+        write_feature_cache(out_dir / f"{split}.lspg", features)
+        summary |= {f"{split}_cache": f"{split}.lspg", f"{split}_crops": len(features)}
+        summary.setdefault("feature_shape", list(features[0].shape))  # the train split's
+        del features  # written; free it before the next split's features are made
     return summary
 
 
@@ -637,8 +646,9 @@ def _build_parser() -> _Parser:
             "--jobs",
             type=int,
             default=1,
-            help="worker processes (1 = one process; synth then renders a clip per usable core, up to 2, on threads); "
-            "every N writes the same bytes",
+            help="worker processes (1 = one process; synth then renders a clip per usable core, up to 2, on threads), "
+            "no more than a stage has tasks or a synth split has clips, each counted in the featurize and train "
+            "memory plans; every N writes the same bytes",
         )
 
     common(sub.add_parser("synth", help="generate a synthetic labeled corpus"))

@@ -107,40 +107,23 @@ def metrics(conf: ConfusionCounts) -> MetricsReport:
     )
 
 
-@dataclass
-class FoldPlan:
-    folds: list[list[str]]  # validation speakers per fold, each sorted
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-    def val_speakers(self, fold: int) -> list[str]:
-        return list(self.folds[fold])
-
-    def train_speakers(self, fold: int) -> list[str]:
-        held_out = set(self.folds[fold])
-        return sorted(s for f in self.folds for s in f if s not in held_out)
-
-
-def kfold_split(labels, k: int, seed: int = 0) -> FoldPlan:
-    """Class-stratified partition: seeded shuffle within class, round-robin."""
+def kfold_split(labels, k: int, seed: int = 0) -> list[list[str]]:
+    """The k validation folds, each sorted: a class-stratified partition by seeded shuffle within class, round-robin."""
     if k < 2:
         raise ValueError("k must be >= 2 for a fold plan")
     bad = {s: y for s, y in labels.items() if y not in (0, 1)}
     if bad:
         raise ValueError(f"labels must be 0 or 1: {sorted(bad)[:5]}")
+    members = {label: sorted(s for s, y in labels.items() if y == label) for label in (0, 1)}
     for label in (0, 1):
-        members = [s for s, y in labels.items() if y == label]
-        if k > len(members):
-            raise ValueError(f"k={k} exceeds the {len(members)} speakers of class {label}")
+        if k > len(members[label]):
+            raise ValueError(f"k={k} exceeds the {len(members[label])} speakers of class {label}")
     rng = np.random.default_rng(seed)
     folds: list[list[str]] = [[] for _ in range(k)]
     for label in (0, 1):
-        members = sorted(s for s, y in labels.items() if y == label)
-        for i, idx in enumerate(rng.permutation(len(members))):
-            folds[i % k].append(members[idx])
-    return FoldPlan([sorted(f) for f in folds])
+        for i, idx in enumerate(rng.permutation(len(members[label]))):
+            folds[i % k].append(members[label][idx])
+    return [sorted(f) for f in folds]
 
 
 def predict_speaker_probs(
@@ -214,10 +197,7 @@ def cross_validate(
     train_labels = speaker_labels(train_features)
     test_truth = speaker_labels(test_features)
 
-    if k == 1:
-        val_sets: list[list[str]] = [[]]
-    else:
-        val_sets = kfold_split(train_labels, k, seed).folds
+    val_sets = [[]] if k == 1 else kfold_split(train_labels, k, seed)
 
     fold_reports = []
     fold_predictions = []

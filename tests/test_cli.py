@@ -1205,9 +1205,67 @@ def test_clip_too_big_for_memory_is_one_config_error_line_before_any_draw(tmp_pa
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
     code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", "synth.duration_s=1e12", "--jobs", jobs)
     in_flight = {1: 2, 2: 4}[jobs]  # a clip per usable core up to 2 at --jobs 1, the 2 * jobs process window above
-    plan = 8 * (3 * in_flight + 2) * 1e12 * 16000  # float64 clips: 3 per clip in flight, one written, one drawn
-    assert f"needs {plan:.0f} bytes" in _assert_one_error_line(code, capsys, "config")
+    # float64 clips: 3 per clip in flight, one written, one drawn; and 416 B of records for each of the 10 clips
+    plan = round(8 * (3 * in_flight + 2) * 1e12 * 16000) + 416 * 10
+    assert f"needs {plan} bytes" in _assert_one_error_line(code, capsys, "config")
     assert draws == [] and not (tmp_path / "c" / "wav").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_corpus_too_big_for_memory_is_one_config_error_line_before_any_draw(tmp_path, capsys, monkeypatch, jobs):
+    draws = []
+    monkeypatch.setattr(audio_io, "_draw_clip", lambda *args: draws.append(args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    code = _run("synth", "--out", tmp_path / "c", "--set", "synth.speakers_per_class=1000000000000", "--jobs", jobs)
+    in_flight = {1: 2, 2: 4}[jobs]
+    clips = 2 * (10**12 + 10)  # the default 10 test speakers per class too
+    plan = round(8 * (3 * in_flight + 2) * 48.0 * 16000) + 416 * clips  # 416 B of records per clip
+    line = _assert_one_error_line(code, capsys, "config")
+    assert f"synthesizing {clips} clips, {in_flight} at once" in line and f"needs {plan} bytes" in line
+    assert draws == [] and not list((tmp_path / "c").glob("*"))
+
+
+def test_synth_starts_no_more_workers_than_a_split_has_clips(tmp_path, monkeypatch):
+    from concurrent import futures
+
+    real, started = futures.ProcessPoolExecutor, []
+
+    def spy(max_workers, **kwargs):
+        assert max_workers <= 2  # a fork-based pool forks every worker at the first submit
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", spy)
+    assert _run("synth", "--out", tmp_path / "wide", "--jobs", 64, *TINY) == 0
+    assert started == [2, 2]  # one pool per split of 2 clips
+    assert _run("synth", "--out", tmp_path / "one", *TINY) == 0
+    assert _synth_digests(tmp_path / "wide") == _synth_digests(tmp_path / "one")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "setting, freq_bins, frames",
+    [("stft.n_fft=100000000000", 50_000_000_001, 125), ("stft.hop_s=0.0001", 513, 32_000)],  # 4 s crops at 16 kHz
+)
+def test_features_too_big_for_memory_are_one_config_error_line_before_any_feature(
+    pipe, tmp_path, capsys, monkeypatch, jobs, setting, freq_bins, frames
+):
+    """The n_fft plan exceeds any box; the hop's is measured against a box of 1 GiB, as a reference corpus's
+    372 such crops (24 GB) exceed an 8 GB one."""
+    sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": (1 << 30) // sysconf("SC_PAGE_SIZE")}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake[name] if name in fake else sysconf(name))
+    calls = _forbid(monkeypatch, "featurize_raw", "write_feature_cache")
+    code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", *FAST,
+                "--set", setting, "--jobs", jobs)
+    summary = json.loads((pipe.feats / "run_summary.json").read_text())["summary"]
+    held = max(summary["train_crops"], summary["test_crops"])
+    # the larger split's float32 features, and per worker one crop's float64 frames of 1024 samples,
+    # complex128 spectrum and two float64 magnitudes
+    plan = frames * (4 * held * freq_bins + jobs * (8 * 1024 + 32 * freq_bins))
+    assert plan > 1 << 30
+    assert f"featurizing {held} crops needs {plan} bytes" in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "f").glob("*"))
 
 
 @pytest.mark.parametrize("jobs, cores", [(1, 1), (1, 2), (1, 5), (2, 5)])

@@ -97,15 +97,16 @@ def test_metrics_rejects_empty():
 
 def test_kfold_balanced_case():
     labels = {f"s{i}": i % 2 for i in range(10)}
-    plan = kfold_split(labels, k=5, seed=0)
-    assert plan.k == 5
+    folds = kfold_split(labels, k=5, seed=0)
+    assert len(folds) == 5
     for fold in range(5):
-        val = plan.val_speakers(fold)
-        assert len(val) == 2
+        val = folds[fold]
+        train = [s for s in labels if s not in val]  # the speakers cross_validate trains the fold on
+        assert len(val) == 2 and val == sorted(val)
         assert sorted(labels[s] for s in val) == [0, 1]
-        assert set(val).isdisjoint(plan.train_speakers(fold))
-        assert sorted(val + plan.train_speakers(fold)) == sorted(labels)
-    everything = [s for f in plan.folds for s in f]
+        assert set(val).isdisjoint(train)
+        assert sorted(val + train) == sorted(labels)
+    everything = [s for f in folds for s in f]
     assert sorted(everything) == sorted(labels)
     assert len(everything) == len(set(everything))
 
@@ -113,8 +114,8 @@ def test_kfold_balanced_case():
 def test_kfold_stratification_deviation_at_most_one():
     rng = np.random.default_rng(1)
     labels = {f"a{i}": 0 for i in range(11)} | {f"b{i}": 1 for i in range(7)}
-    plan = kfold_split(labels, k=3, seed=int(rng.integers(1000)))
-    for fold in plan.folds:
+    folds = kfold_split(labels, k=3, seed=int(rng.integers(1000)))
+    for fold in folds:
         zeros = sum(1 for s in fold if labels[s] == 0)
         ones = len(fold) - zeros
         assert abs(zeros - 11 / 3) <= 1
@@ -123,8 +124,8 @@ def test_kfold_stratification_deviation_at_most_one():
 
 def test_kfold_determinism_and_errors():
     labels = {f"s{i}": i % 2 for i in range(8)}
-    assert kfold_split(labels, 4, seed=9).folds == kfold_split(labels, 4, seed=9).folds
-    assert kfold_split(labels, 4, seed=9).folds != kfold_split(labels, 4, seed=10).folds
+    assert kfold_split(labels, 4, seed=9) == kfold_split(labels, 4, seed=9)
+    assert kfold_split(labels, 4, seed=9) != kfold_split(labels, 4, seed=10)
     with pytest.raises(ValueError, match="exceeds"):
         kfold_split(labels, 5)
     with pytest.raises(ValueError, match="k must be"):
