@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -25,6 +26,9 @@ _MOD_RATE_HZ = {1: (0.5, 1.5), 0: (4.0, 8.0)}
 _NOISE_DB = -30.0
 _N_HARMONICS = 6
 _RENDER_BLOCK = 1 << 14  # samples per block of _render_clip's sample-wise formulas
+
+# The longest span samples() takes: times any rate a WAV header holds (under 2**32 Hz) it stays finite.
+MAX_SECONDS = sys.float_info.max / 2**32
 
 
 class WavError(ValueError):
@@ -162,6 +166,13 @@ def write_wav(path, clip: AudioClip) -> None:
     Path(path).write_bytes(header + payload)
 
 
+def samples(seconds: float, rate: int) -> int:
+    """The whole samples that `seconds` spans at `rate` Hz, round(seconds * rate)."""
+    if not 0.0 < seconds <= MAX_SECONDS:  # false for nan too
+        raise ValueError(f"a span of seconds must lie in (0, {MAX_SECONDS:.6g}], got {seconds}")
+    return round(seconds * rate)
+
+
 def trim_silence(
     clip: AudioClip, frame_s: float = 0.1, energy_floor_db: float = -60.0
 ) -> tuple[AudioClip, np.ndarray]:
@@ -173,9 +184,7 @@ def trim_silence(
     so keep_frames(clip, keep, frame_s) trims the same samples again without
     measuring a level.
     """
-    if frame_s <= 0:
-        raise ValueError(f"frame_s must be positive, got {frame_s}")
-    frame_len = int(round(frame_s * clip.sample_rate))
+    frame_len = samples(frame_s, clip.sample_rate)
     if frame_len < 1:
         raise ValueError(
             f"at {clip.sample_rate} Hz the {frame_s} s trim frame is {frame_len} samples; it must be at least 1"
@@ -197,7 +206,7 @@ def trim_silence(
 
 def keep_frames(clip: AudioClip, keep: np.ndarray, frame_s: float) -> AudioClip:
     """The clip without the frames of frame_s whose keep flag is false, framed as trim_silence frames it."""
-    frame_len, n = int(round(frame_s * clip.sample_rate)), clip.samples.size
+    frame_len, n = samples(frame_s, clip.sample_rate), clip.samples.size
     keep = np.asarray(keep, dtype=bool)
     if frame_len < 1 or keep.shape != (-(-n // frame_len),):
         raise ValueError(f"{keep.size} frame flags for {n} samples in frames of {frame_len}")
@@ -218,7 +227,7 @@ class _ClipDraw(NamedTuple):
 
 
 def _draw_clip(rng: np.random.Generator, label: int, duration_s: float, sample_rate: int) -> _ClipDraw:
-    n = int(round(duration_s * sample_rate))
+    n = samples(duration_s, sample_rate)
     return _ClipDraw(  # keyword arguments are evaluated in order, which fixes the order of the draws
         sample_rate,
         f0=rng.uniform(*_FUNDAMENTAL_HZ[label]),

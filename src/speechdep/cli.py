@@ -20,7 +20,6 @@ import ctypes
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from collections import deque
@@ -31,10 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import (
+    MAX_SECONDS,
     CorpusManifest,
     keep_frames,
     load_manifest,
     load_wav,
+    samples,
     save_manifest,
     synth_corpus,
     trim_silence,
@@ -55,14 +56,7 @@ from .evaluation import (
 )
 from .features import StftConfig, featurize_raw, open_feature_cache, write_feature_cache
 from .network import NetworkConfig, NetworkParams, load_model, save_model
-from .sampling import (
-    DEFAULT_CROP_S,
-    DEFAULT_EVAL_CAP,
-    crop,
-    materialize_eval_set,
-    materialize_training_set,
-    plan_balanced,
-)
+from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
 from .trainer import TrainConfig, TrainingDivergedError, planned_bytes, train, write_history_csv
 
 
@@ -79,8 +73,8 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
     "synth.sample_rate": (int, 16000),
     "trim.frame_s": (float, 0.1),
     "trim.floor_db": (float, -60.0),
-    "sampling.crop_s": (float, DEFAULT_CROP_S),
-    "sampling.eval_cap": (int, DEFAULT_EVAL_CAP),
+    "sampling.crop_s": (float, 4.0),
+    "sampling.eval_cap": (int, 89),
     "curve.m_values": (str, ""),  # comma-separated; empty means 1..pool size
     "curve.n_combinations": (int, 200),
     **{
@@ -144,6 +138,12 @@ class RunConfig:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The run's configuration, every value of it checked before any command reads its input.
+
+    One config_echo.cfg feeds every stage, so every command checks every key. A command checks a value
+    again only against its input: curve.m_values against the pool, the network against the cache, and
+    its memory plan.
+    """
     cfg = RunConfig.defaults()
     if args.config:
         cfg.load_file(Path(args.config))
@@ -154,9 +154,25 @@ def _resolve_config(args) -> RunConfig:
         cfg.set(key.strip(), raw.strip())
     if args.seed is not None:
         cfg.values["seed"] = int(args.seed)
-    for key, low in (("seed", 0), ("ensemble.tie_seed", 0), ("sampling.eval_cap", 1)):
+    for key, low in (  # the int keys that no config dataclass checks
+        ("seed", 0), ("ensemble.tie_seed", 0), ("sampling.eval_cap", 1), ("curve.n_combinations", 1),
+        ("synth.speakers_per_class", 1), ("synth.test_speakers_per_class", 1), ("synth.sample_rate", 1),
+    ):
         if cfg[key] < low:
             raise CliError("config", f"{key} must be >= {low}, got {cfg[key]}")
+    for key in ("synth.duration_s", "trim.frame_s", "sampling.crop_s"):
+        if not 0.0 < cfg[key] <= MAX_SECONDS:  # false for nan too
+            raise CliError("config", f"{key} must lie in (0, {MAX_SECONDS:.6g}] seconds, got {cfg[key]}")
+    duration_s, rate = cfg["synth.duration_s"], cfg["synth.sample_rate"]
+    if rate > 0xFFFFFFFF:
+        raise CliError("config", f"synth.sample_rate={rate} does not fit the 32-bit rate of a WAV header")
+    if round(duration_s / 2.0 * rate) < 1:
+        raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
+    if np.isnan(cfg["trim.floor_db"]):
+        raise CliError("config", "trim.floor_db must be a number of dB, got nan")
+    _m_values(cfg["curve.m_values"])  # curve bounds them by its pool
+    for prefix, factory in _SECTIONS.items():  # the network's shape checks pass at (1, 1)
+        cfg.section(factory, prefix, **({"freq_bins": 1, "time_steps": 1} if prefix == "network" else {}))
     return cfg
 
 
@@ -249,8 +265,6 @@ _CLIP_RECORD_BYTES = 416
 def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
     seed = cfg["seed"]
     duration_s, rate = cfg["synth.duration_s"], cfg["synth.sample_rate"]
-    if rate > 0xFFFFFFFF:
-        raise CliError("config", f"synth.sample_rate={rate} does not fit the 32-bit rate of a WAV header")
     splits = [
         ("train", cfg["synth.speakers_per_class"], seed),
         ("test", cfg["synth.test_speakers_per_class"], seed + 1),
@@ -261,15 +275,12 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
     threads = min(cores, _RENDER_THREADS)
     workers = [min(jobs, 2 * per_class) for _, per_class, _ in splits]
     in_flight = _window(max(workers), threads)
-    if math.isfinite(duration_s) and duration_s > 0.0 and rate >= 1:  # synth_corpus rejects the rest
-        if round(duration_s / 2.0 * rate) < 1:
-            raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
-        # float64 arrays of the longest clip: the noise, the signal and the squares of its level per clip
-        # in flight, plus the clip being written and the next draw, in whole bytes; and every clip's records
-        clips = 2 * sum(per_class for _, per_class, _ in splits)
-        plan = round(8 * (3 * in_flight + 2) * duration_s * rate) + _CLIP_RECORD_BYTES * clips
-        doing = f"synthesizing {clips} clips, {in_flight} at once, of synth.duration_s={duration_s} at {rate} Hz"
-        _check_fits_memory(plan, doing)
+    # float64 arrays of the longest clip: the noise, the signal and the squares of its level per clip
+    # in flight, plus the clip being written and the next draw; and every clip's records
+    clips = 2 * sum(per_class for _, per_class, _ in splits)
+    plan = 8 * (3 * in_flight + 2) * samples(duration_s, rate) + _CLIP_RECORD_BYTES * clips
+    doing = f"synthesizing {clips} clips, {in_flight} at once, of synth.duration_s={duration_s} at {rate} Hz"
+    _check_fits_memory(plan, doing)
     wav_dir = out_dir / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
@@ -337,9 +348,6 @@ def _featurize_split(
 
 def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int) -> dict:
     stft_cfg = cfg.section(StftConfig, "stft")
-    for key in ("trim.frame_s", "sampling.crop_s"):
-        if not (math.isfinite(cfg[key]) and cfg[key] > 0.0):
-            raise CliError("config", f"{key} must be a positive finite number of seconds, got {cfg[key]}")
     if not manifest_path.is_file():
         raise CliError("io", f"manifest not found: {manifest_path}")
     manifest = load_manifest(manifest_path)
@@ -372,11 +380,15 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
         "train": materialize_training_set(plan, train_counts, seed=seed + 1),
         "test": materialize_eval_set(test_counts, cap=cfg["sampling.eval_cap"]),
     }
+    for split, split_entries in (("train", train_entries), ("test", test_entries)):
+        if split_entries and not orders[split]:
+            crop_s = cfg["sampling.crop_s"]
+            raise CliError("data", f"the {split} split yields no whole crop of sampling.crop_s={crop_s} s")
     # the larger split's float32 features, all held until its cache is written, and per worker one crop's
     # float64 windowed frames, complex128 spectrum and two float64 magnitudes of it; a hop that rounds to
     # 0 samples is left to stft's own error
     win, hop = stft_cfg.window_samples(first_rate), max(stft_cfg.hop_samples(first_rate), 1)
-    frames, held = round(cfg["sampling.crop_s"] * first_rate) // hop, max(map(len, orders.values()))
+    frames, held = samples(cfg["sampling.crop_s"], first_rate) // hop, max(map(len, orders.values()))
     need = frames * (4 * held * stft_cfg.freq_bins + min(jobs, len(entries)) * (8 * win + 32 * stft_cfg.freq_bins))
     _check_fits_memory(need, f"featurizing {held} crops")
 
@@ -418,11 +430,7 @@ def _train_group(inherited, machines) -> list[tuple[str, float]]:
 def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     if not cache_path.is_file():
         raise CliError("io", f"feature cache not found: {cache_path}")
-    # every ensemble, train and network value is checked before the cache is read;
-    # the network shape checks pass at (1, 1)
-    machines = cfg.section(EnsembleConfig, "ensemble").machines
-    train_cfg = cfg.section(TrainConfig, "train", seed=cfg["seed"])
-    cfg.section(NetworkConfig, "network", freq_bins=1, time_steps=1)
+    machines, train_cfg = cfg["ensemble.machines"], cfg.section(TrainConfig, "train", seed=cfg["seed"])
     features = open_feature_cache(cache_path)  # the header walk; a batch's records are read when it is trained
     freq_bins, time_steps = features.record_shape
     net_cfg = cfg.section(NetworkConfig, "network", freq_bins=freq_bins, time_steps=time_steps)
@@ -508,28 +516,25 @@ def _curve_task(inherited, task):
     return method, point
 
 
-def _parse_m_values(raw: str, pool_size: int) -> list[int]:
-    if not raw:
-        return list(range(1, pool_size + 1))
+def _m_values(raw: str) -> list[int]:
+    """curve.m_values as sorted, distinct sizes; none for the empty default, which means every size of the pool."""
     try:
-        values = [int(part) for part in raw.split(",") if part.strip()]
+        values = sorted({int(part) for part in raw.split(",") if part.strip()})
     except ValueError:
         raise CliError("config", f"curve.m_values must be comma-separated integers, got {raw!r}") from None
-    if not values:
+    if raw and not values:
         raise CliError("config", "curve.m_values is empty")
-    for m in values:
-        if not 1 <= m <= pool_size:
-            raise CliError("config", f"curve.m_values entry {m} outside pool of {pool_size}")
-    return sorted(set(values))
+    if values and values[0] < 1:
+        raise CliError("config", f"curve.m_values entry {values[0]} is below 1")
+    return values
 
 
 def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
     model_paths = _model_paths(models_dir, cache_path)
-    threshold = cfg.section(EnsembleConfig, "ensemble", machines=len(model_paths)).threshold
-    m_values = _parse_m_values(cfg["curve.m_values"], len(model_paths))
-    n_combinations = cfg["curve.n_combinations"]
-    if n_combinations < 1:
-        raise CliError("config", f"curve.n_combinations must be >= 1, got {n_combinations}")
+    m_values = _m_values(cfg["curve.m_values"]) or list(range(1, len(model_paths) + 1))
+    if m_values[-1] > len(model_paths):
+        raise CliError("config", f"curve.m_values entry {m_values[-1]} outside pool of {len(model_paths)}")
+    n_combinations, threshold = cfg["curve.n_combinations"], cfg["ensemble.threshold"]
     preds, truth = _pool_predictions(model_paths, cache_path, threshold)
 
     tasks = [(method, m) for method in (1, 2, 3) for m in m_values]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import MAX_SECONDS, samples
 from .sampling import SampleCrop
 
 CACHE_MAGIC = b"LSPG"
@@ -41,16 +42,16 @@ class StftConfig:
 
     def __post_init__(self):
         for name, value in (("window_s", self.window_s), ("hop_s", self.hop_s)):
-            if not 0.0 < value < np.inf:  # false for nan too
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not 0.0 < value <= MAX_SECONDS:  # false for nan too
+                raise ValueError(f"{name} must lie in (0, {MAX_SECONDS:.6g}] seconds, got {value}")
         if self.n_fft < 2:  # a Hamming window of at least 2 samples must fit in it
             raise ValueError(f"n_fft must be >= 2, got {self.n_fft}")
 
     def window_samples(self, sample_rate: int) -> int:
-        return int(round(self.window_s * sample_rate))
+        return samples(self.window_s, sample_rate)
 
     def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop_s * sample_rate))
+        return samples(self.hop_s, sample_rate)
 
     @property
     def freq_bins(self) -> int:

@@ -113,9 +113,6 @@ class NetworkParams:
     def __setattr__(self, name, value):
         getattr(self, name)[...] = value
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.cfg, self.vector.copy())
-
 
 def init_params(cfg: NetworkConfig, seed: int = 0) -> NetworkParams:
     """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""

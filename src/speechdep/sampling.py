@@ -14,10 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .audio_io import AudioClip
-
-DEFAULT_CROP_S = 4.0
-DEFAULT_EVAL_CAP = 89
+from .audio_io import AudioClip, samples
 
 
 @dataclass
@@ -39,11 +36,9 @@ class BalancedPlan:
         return 2 * self.speakers_per_class * self.crops_per_speaker
 
 
-def crop(clip: AudioClip, crop_s: float = DEFAULT_CROP_S) -> list[SampleCrop]:
+def crop(clip: AudioClip, crop_s: float) -> list[SampleCrop]:
     """Split a clip into consecutive crops of exactly crop_s seconds."""
-    if crop_s <= 0:
-        raise ValueError(f"crop_s must be positive, got {crop_s}")
-    crop_len = int(round(crop_s * clip.sample_rate))
+    crop_len = samples(crop_s, clip.sample_rate)
     if crop_len < 1:
         raise ValueError(
             f"at {clip.sample_rate} Hz the {crop_s} s crop is {crop_len} samples; it must be at least 1"
@@ -113,6 +108,6 @@ def materialize_training_set(
     return [chosen[i] for i in order]
 
 
-def materialize_eval_set(crop_counts: Mapping[str, int], cap: int = DEFAULT_EVAL_CAP) -> list[tuple[str, int]]:
+def materialize_eval_set(crop_counts: Mapping[str, int], cap: int) -> list[tuple[str, int]]:
     """The (speaker_id, crop_index) keys of every speaker's first min(cap, count) crops."""
     return [(spk, i) for spk in sorted(crop_counts) for i in range(crop_counts[spk])[:cap]]

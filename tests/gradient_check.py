@@ -14,7 +14,7 @@ def numerical_gradient(
     def loss_at(p: NetworkParams) -> float:
         return batch_loss(forward_batch(p, xs, cfg).probs, ys)
 
-    work, grads = params.copy(), NetworkParams(cfg)
+    work, grads = NetworkParams(params.cfg, params.vector.copy()), NetworkParams(cfg)
     flat = work.vector
     for i in range(flat.size):
         orig = flat[i]

@@ -170,7 +170,7 @@ def test_criterion_04_adadelta_first_step(capsys):
     cfg = NetworkConfig(freq_bins=3, time_steps=4, filters=2, hidden=2)
     params = init_params(cfg, seed=0)
     grads = NetworkParams(cfg, np.ones(cfg.n_params))
-    new_params = params.copy()
+    new_params = NetworkParams(cfg, params.vector.copy())
     adadelta_step(new_params, grads, AdadeltaState.zeros(params), lr=1.0, rho=0.95, eps=1e-6)
     expected = -math.sqrt(1e-6) / math.sqrt(0.05 + 1e-6)
     worst = 0.0

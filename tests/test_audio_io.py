@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speechdep.audio_io import (
+    MAX_SECONDS,
     AudioClip,
     CorpusManifest,
     EmptyPayloadError,
@@ -13,6 +14,7 @@ from speechdep.audio_io import (
     keep_frames,
     load_manifest,
     load_wav,
+    samples,
     save_manifest,
     synth_corpus,
     trim_silence,
@@ -204,6 +206,16 @@ def test_keep_mask_trims_the_same_samples_again(clip):
         assert keep.dtype == bool and keep.shape == (-(-clip.samples.size // 100),)  # one flag per frame
         again = keep_frames(clip, keep, 0.1)
         assert again.samples.dtype == trimmed.samples.dtype and np.array_equal(again.samples, trimmed.samples)
+
+
+def test_samples_takes_spans_up_to_max_seconds_and_rejects_the_rest():
+    assert samples(0.1, 16000) == 1600 and samples(0.00003, 16000) == 0  # 0.48 samples
+    assert samples(MAX_SECONDS, 0xFFFFFFFF) > 0  # the widest rate a WAV header holds stays finite
+    for seconds in (0.0, -1.0, float("nan"), float("inf"), np.nextafter(MAX_SECONDS, np.inf), 1e308):
+        with pytest.raises(ValueError, match="span of seconds"):
+            samples(seconds, 1)
+    with pytest.raises(ValueError, match="span of seconds"):  # not an OverflowError
+        trim_silence(AudioClip(np.ones(10), 16000), 1e308)
 
 
 def test_keep_mask_must_have_one_flag_per_frame():

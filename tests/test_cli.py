@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -1172,14 +1173,15 @@ def test_non_finite_raw_record_is_one_train_error_line(tmp_path, capsys, jobs):
         assert not list(out.glob("model_*.sdm"))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("key", ["synth.duration_s", "synth.sample_rate"])
-def test_bad_synth_value_is_one_error_line(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e308"])
+@pytest.mark.parametrize("key", ["synth.duration_s", "synth.sample_rate", "synth.test_speakers_per_class"])
+def test_bad_synth_value_is_one_error_line(tmp_path, capsys, monkeypatch, key, value):
+    draws = []
+    monkeypatch.setattr(audio_io, "_draw_clip", lambda *args: draws.append(args))
     code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", f"{key}={value}")
-    unparsed = key == "synth.sample_rate" and value in ("nan", "inf")  # not an int
-    line = _assert_one_error_line(code, capsys, "config" if unparsed else "data")
+    line = _assert_one_error_line(code, capsys, "config")
     assert key.partition(".")[2] in line, line
-    assert not (tmp_path / "c" / "manifest.csv").exists()
+    assert draws == [] and not list((tmp_path / "c").glob("*"))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1317,7 +1319,7 @@ def test_synth_leaves_no_thread_running(tmp_path, monkeypatch, jobs):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e308"])
 @pytest.mark.parametrize("key", ["trim.frame_s", "sampling.crop_s"])
 def test_bad_trim_frame_or_crop_is_one_config_error_line_before_the_manifest_is_read(
     pipe, tmp_path, capsys, monkeypatch, key, value
@@ -1398,7 +1400,10 @@ def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
 
 @pytest.mark.parametrize(
     "setting",
-    ["stft.hop_s=0", "stft.hop_s=inf", "stft.window_s=nan", "stft.window_s=-0.5", "stft.n_fft=0", "stft.n_fft=1"],
+    [
+        "stft.hop_s=0", "stft.hop_s=inf", "stft.window_s=nan", "stft.window_s=-0.5", "stft.window_s=1e308",
+        "stft.n_fft=0", "stft.n_fft=1",
+    ],
 )
 def test_bad_stft_value_is_one_config_error_line_before_any_clip_is_read(pipe, tmp_path, capsys, monkeypatch, setting):
     calls = _forbid(monkeypatch, "load_wav")
@@ -1415,6 +1420,7 @@ def test_bad_stft_value_is_one_config_error_line_before_any_clip_is_read(pipe, t
         ("--set=seed=-1", "seed"),
         ("--seed=-1", "seed"),
         ("--set=ensemble.tie_seed=-3", "tie_seed"),
+        ("--set=trim.floor_db=nan", "floor_db"),
     ],
 )
 def test_out_of_range_seed_or_cap_is_one_config_error_line_before_any_clip_is_read(
@@ -1423,4 +1429,69 @@ def test_out_of_range_seed_or_cap_is_one_config_error_line_before_any_clip_is_re
     calls = _forbid(monkeypatch, "load_wav")
     code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", arg)
     assert key in _assert_one_error_line(code, capsys, "config")
+    assert calls == [] and not list((tmp_path / "f").glob("*"))
+
+
+class _FirstInputRead(Exception):
+    """Raised where a command first reads its input: an exception main does not catch."""
+
+
+def _first_input_read(*args, **kwargs):
+    raise _FirstInputRead
+
+
+def test_every_command_checks_every_key_before_it_reads_its_input(tmp_path, capsys, monkeypatch):
+    """Each value of each key ends at the command's first input read or in one config error line and no file;
+    every command rejects the same values, bar those that only its input or its memory plan can judge."""
+    monkeypatch.setattr(audio_io, "_draw_clip", _first_input_read)
+    for name in ("load_manifest", "open_feature_cache", "load_model"):
+        monkeypatch.setattr(cli, name, _first_input_read)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # synth renders in line
+    (tmp_path / "models").mkdir()
+    for name in ("manifest.csv", "cache.lspg", "models/model_000.sdm"):
+        (tmp_path / name).touch()
+    cache, pool = ["--cache", tmp_path / "cache.lspg"], ["--models", tmp_path / "models"]
+    inputs = {
+        "synth": [], "featurize": ["--manifest", tmp_path / "manifest.csv"], "train": cache,
+        "evaluate": pool + cache, "curve": pool + cache,
+    }
+    big = str(2**63)
+    cases = list(itertools.product(CONFIG_SCHEMA, ["nan", "inf", "-inf", "1e308", "-1", "0", big, ""]))
+    rejected = {command: set() for command in inputs}
+    for command, argv in inputs.items():
+        for n, (key, value) in enumerate(cases):
+            out = tmp_path / command / str(n)
+            try:
+                code = _run(command, *argv, "--out", out, "--jobs", 1, "--set", f"{key}={value}")
+            except _FirstInputRead:
+                continue
+            err = capsys.readouterr().err
+            assert code == 2 and re.fullmatch("error:config: .*\n", err), (command, key, value, err)
+            assert not list(out.rglob("*")), (command, key, value)
+            rejected[command].add((key, value))
+    every = set.intersection(*rejected.values())
+    assert {command: keys - every for command, keys in rejected.items()} == {
+        "synth": {("synth.speakers_per_class", big), ("synth.test_speakers_per_class", big), ("synth.duration_s", big)},
+        "featurize": set(), "train": set(), "evaluate": set(), "curve": {("curve.m_values", big)},
+    }
+    assert ("seed", "0") not in every and ("trim.floor_db", "nan") in every and ("curve.n_combinations", "0") in every
+
+
+@pytest.mark.parametrize(
+    "split, setting",
+    [("train", "sampling.crop_s=20"), ("train", "sampling.crop_s=1e298"), ("train", "trim.floor_db=inf"), ("test", "")],
+)
+def test_split_without_a_whole_crop_is_one_data_error_line_before_the_memory_plan(
+    pipe, tmp_path, capsys, monkeypatch, split, setting
+):
+    """The corpus's clips last 4.5 to 9 s; in the test case its test clips are cut to 1 s, under one 4 s crop."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipe.corpus, corpus)
+    if split == "test":
+        for wav in (corpus / "wav").glob("test*.wav"):
+            write_wav(wav, AudioClip(load_wav(wav).samples[:16000], 16000))
+    calls = _forbid(monkeypatch, "_check_fits_memory", "featurize_raw", "write_feature_cache")
+    argv = ["--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", *(["--set", setting] if setting else [])]
+    line = _assert_one_error_line(_run("featurize", *argv), capsys, "data")
+    assert f"the {split} split" in line and "sampling.crop_s=" in line, line
     assert calls == [] and not list((tmp_path / "f").glob("*"))

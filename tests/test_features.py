@@ -298,6 +298,12 @@ def test_cache_read_allocates_about_one_float32_copy(tmp_path, normalize):
     assert 4.0 <= peak / n_values < 4.5, peak / n_values
 
 
+@pytest.mark.parametrize("field", ["window_s", "hop_s"])
+def test_stft_config_rejects_seconds_past_max_seconds(field):
+    with pytest.raises(ValueError, match=field):
+        StftConfig(**{field: 1e308})
+
+
 def test_stft_config_derived_sizes():
     cfg = StftConfig()
     assert cfg.window_samples(16000) == 1024

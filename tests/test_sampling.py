@@ -108,6 +108,11 @@ def test_crop_rejects_nonpositive_length():
         crop(AudioClip(np.zeros(16000), 16000), 0.0)
 
 
+def test_crop_rejects_a_length_past_max_seconds():
+    with pytest.raises(ValueError, match="span of seconds"):  # not an OverflowError
+        crop(AudioClip(np.zeros(16000), 16000), 1e308)
+
+
 def test_materialize_training_set_honors_plan():
     counts = {"a0": 5, "a1": 3, "b0": 4, "b1": 6}
     labels = {"a0": 0, "a1": 0, "b0": 1, "b1": 1}
