@@ -243,9 +243,9 @@ def _draw_clip(rng: np.random.Generator, label: int, duration_s: float, sample_r
 def _render_clip(draw: _ClipDraw) -> np.ndarray:
     """A clip's samples, computed from its draws into draw.noise, which is returned.
 
-    Uses no generator, so any process or thread can render any clip, with the
-    same bytes. Sample-wise formulas run a block at a time, so memory peaks at
-    three clip-sized arrays: the noise, the signal and the squares of its level.
+    Uses no generator, so any thread can render any clip, with the same bytes.
+    Sample-wise formulas run a block at a time, so memory peaks at three
+    clip-sized arrays: the noise, the signal and the squares of its level.
     Calls nothing the benchmark's tracer wraps, so it may run off the main thread.
     """
     rate, n = draw.sample_rate, draw.noise.size
@@ -294,7 +294,7 @@ def synth_corpus(
     thread, in one order; render(_render_clip, draws) turns them into samples,
     in order. Any map gives the same samples, for _render_clip uses no
     generator: the builtin renders each clip only once the one before it has
-    been handed over, and a thread or process map may render several at once.
+    been handed over, and a threaded map may render several at once.
     """
     if n_speakers_per_class < 1:
         raise ValueError("need at least one speaker per class")

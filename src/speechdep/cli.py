@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from collections import deque
 from collections.abc import Sequence, Sized
@@ -133,8 +134,9 @@ class RunConfig:
         fields = {key.partition(".")[2]: v for key, v in self.values.items() if key.startswith(prefix + ".")}
         try:
             return factory(**{**fields, **given})
-        except ValueError as exc:
-            raise CliError("config", str(exc)) from None
+        except ValueError as exc:  # its message names fields; name each as the key that sets it
+            names = "|".join(field.name for field in dataclasses.fields(factory))
+            raise CliError("config", re.sub(rf"\b({names})\b", rf"{prefix}.\1", str(exc))) from None
 
 
 def _resolve_config(args) -> RunConfig:
@@ -182,64 +184,37 @@ def _write_run_artifacts(out_dir: Path, command: str, cfg: RunConfig, summary: d
     (out_dir / "run_summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-_inherited = None  # a --jobs worker's (fn, inherited), taken over from the parent at fork
+def _map(fn, tasks, workers: int):
+    """Yield fn(task) for each task in order, on `workers` threads of this process, or in line at 1.
 
-
-def _inherit(fn, inherited) -> None:
-    global _inherited
-    _inherited = fn, inherited
-
-
-def _call_inherited(task):
-    fn, inherited = _inherited
-    return fn(inherited, task)
-
-
-def _window(jobs: int, threads: int) -> int:
-    """How many tasks _map(..., jobs, ..., threads) keeps submitted and not yet yielded."""
-    return 2 * jobs if jobs > 1 else threads
-
-
-def _map(fn, tasks, jobs: int, inherited, threads: int = 1):
-    """Yield fn(inherited, task) for each task in order, in `jobs` forked worker processes when jobs > 1.
-
-    A sized `tasks` gets no more processes or threads than it has tasks. At
-    jobs = 1 the tasks run on `threads` threads of this process, or in line
-    at threads = 1, where a task is taken only once the result before it has
-    been. Either executor keeps at most _window(jobs, threads) tasks submitted
-    and not yet yielded, so a lazy task stream stays bounded, and the task
-    stream is only ever read on the calling thread. Only the tasks and results
-    of worker processes are pickled: they are forked with `inherited` already
-    in memory and share its pages copy-on-write.
+    A sized `tasks` gets no more threads than it has tasks. In line, a task is
+    taken only once the result before it has been; on threads, at most
+    `workers` tasks are submitted and not yet yielded, so a lazy task stream
+    stays bounded, and the task stream is only ever read on the calling
+    thread. Leaving the map waits for its running tasks, unless it is left by
+    a KeyboardInterrupt: a thread cannot be stopped, so those are left
+    running for main to end with the process.
     """
-    if isinstance(tasks, Sized):  # no more workers than tasks
-        jobs, threads = min(jobs, len(tasks)), min(threads, len(tasks))
-    if jobs <= 1 and threads <= 1:
-        yield from (fn(inherited, task) for task in tasks)
+    if isinstance(tasks, Sized):  # no more threads than tasks
+        workers = min(workers, len(tasks))
+    if workers <= 1:
+        yield from map(fn, tasks)
         return
-    # imported here, so that an in-line run does not load the executors (0.6 MB with logging);
-    # the package loads only the executor asked for
-    from concurrent import futures
+    from concurrent import futures  # here, so that an in-line run does not load it (0.6 MB with logging)
 
-    if jobs > 1:
-        import multiprocessing
-
-        # fork keeps the malloc thresholds; the executor forks every worker before it starts its own thread
-        fork = multiprocessing.get_context("fork")
-        executor = futures.ProcessPoolExecutor(jobs, mp_context=fork, initializer=_inherit, initargs=(fn, inherited))
-        call = _call_inherited
-    else:
-        executor = futures.ThreadPoolExecutor(threads)
-        call = functools.partial(fn, inherited)
-    window = _window(jobs, threads)
-    with executor as pool:  # leaving it joins every worker, so none outlives the map
-        in_flight = deque()
+    pool, in_flight, interrupted = futures.ThreadPoolExecutor(workers), deque(), False
+    try:
         for task in tasks:
-            if len(in_flight) == window:
+            if len(in_flight) == workers:
                 yield in_flight.popleft().result()
-            in_flight.append(pool.submit(call, task))
+            in_flight.append(pool.submit(fn, task))
         while in_flight:
             yield in_flight.popleft().result()
+    except KeyboardInterrupt:
+        interrupted = True
+        raise
+    finally:
+        pool.shutdown(wait=not interrupted)
 
 
 def _check_fits_memory(plan: int, doing: str) -> None:
@@ -269,12 +244,12 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         ("train", cfg["synth.speakers_per_class"], seed),
         ("test", cfg["synth.test_speakers_per_class"], seed + 1),
     ]
-    # at --jobs 1, one clip per usable core, up to _RENDER_THREADS, renders on a thread;
-    # --jobs N workers render one clip each, and a split gets no more workers than it has clips
+    # each thread renders one clip: at --jobs 1 one per usable core, up to _RENDER_THREADS, and at --jobs N
+    # N of them; a split gets no more threads than it has clips
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(cores, _RENDER_THREADS)
-    workers = [min(jobs, 2 * per_class) for _, per_class, _ in splits]
-    in_flight = _window(max(workers), threads)
+    threads = jobs if jobs > 1 else min(cores, _RENDER_THREADS)
+    workers = [min(threads, 2 * per_class) for _, per_class, _ in splits]
+    in_flight = max(workers)
     # float64 arrays of the longest clip: the noise, the signal and the squares of its level per clip
     # in flight, plus the clip being written and the next draw; and every clip's records
     clips = 2 * sum(per_class for _, per_class, _ in splits)
@@ -288,14 +263,11 @@ def cmd_synth(cfg: RunConfig, out_dir: Path, jobs: int) -> dict:
         entry.path = f"wav/{entry.speaker_id}.wav"
         write_wav(out_dir / entry.path, clip)
 
-    def render(split_jobs):  # map(fn, draws) through _map
-        return lambda fn, draws: _map(lambda f, draw: f(draw), draws, split_jobs, fn, threads)
-
     entries = []
-    for (split, per_class, split_seed), split_jobs in zip(splits, workers):
+    for (split, per_class, split_seed), split_workers in zip(splits, workers):
         manifest = synth_corpus(
             per_class, duration_s, sample_rate=rate, seed=split_seed, split=split,
-            on_clip=write, render=render(split_jobs),
+            on_clip=write, render=functools.partial(_map, workers=split_workers),
         )
         entries += manifest.entries
     save_manifest(out_dir / "manifest.csv", CorpusManifest(entries))
@@ -315,9 +287,8 @@ def _crop_count(cfg_values: dict, entry_path: Path) -> tuple[int, int, np.ndarra
     return len(crop(clip, cfg_values["sampling.crop_s"])), clip.sample_rate, keep
 
 
-def _featurize_speaker(inherited, task) -> list:
+def _featurize_speaker(cfg_values: dict, stft_cfg: StftConfig, task) -> list:
     """Features for the wanted crop indices of one speaker's clip, trimmed by its keep mask."""
-    cfg_values, stft_cfg = inherited
     path, speaker_id, label, keep, wanted = task
     clip = load_wav(path)
     clip.speaker_id, clip.label = speaker_id, label
@@ -341,7 +312,7 @@ def _featurize_split(
         for e in entries
         if e.speaker_id in wanted
     ]
-    results = _map(_featurize_speaker, tasks, jobs, (cfg.values, stft_cfg))
+    results = _map(functools.partial(_featurize_speaker, cfg.values, stft_cfg), tasks, jobs)
     by_key = {(f.speaker_id, f.crop_index): f for feats in results for f in feats}
     return [by_key[key] for key in ordered_keys]
 
@@ -365,7 +336,8 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
     paths = [manifest_dir / e.path for e in entries]
     counts, keeps = {}, {}
     first_rate = None
-    for e, path, (count, rate, keep) in zip(entries, paths, _map(_crop_count, paths, jobs, cfg.values)):
+    counted = _map(functools.partial(_crop_count, cfg.values), paths, jobs)
+    for (count, rate, keep), e, path in zip(counted, entries, paths):  # the map first, so zip runs it to its end
         counts[e.speaker_id], keeps[e.speaker_id] = count, keep
         if first_rate is None:
             first_path, first_rate = path, rate
@@ -412,9 +384,8 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
 
 # ---------------------------------------------------------------- train
 
-def _train_group(inherited, machines) -> list[tuple[str, float]]:
+def _train_group(features, net_cfg: NetworkConfig, train_cfg: TrainConfig, out_dir: Path, machines) -> list:
     """Train a group of machines in lockstep and write their artifacts in machine order."""
-    features, net_cfg, train_cfg, out_dir = inherited
     all_params, histories = train(
         features, net_cfg, train_cfg, init_seeds=[train_cfg.seed + m for m in machines]
     )
@@ -438,8 +409,8 @@ def cmd_train(cfg: RunConfig, cache_path: Path, out_dir: Path, jobs: int) -> dic
     _check_fits_memory(plan, f"training {machines} machines of {net_cfg.n_params} parameters")
     # at most `jobs` contiguous groups, sizes differing by at most one
     groups = [g.tolist() for g in np.array_split(np.arange(machines), jobs) if g.size]
-    inherited = (features, net_cfg, train_cfg, out_dir)
-    outcomes = [o for group in _map(_train_group, groups, jobs, inherited) for o in group]
+    train_group = functools.partial(_train_group, features, net_cfg, train_cfg, out_dir)
+    outcomes = [o for group in _map(train_group, groups, jobs) for o in group]
     return {
         "machines": machines,
         "models": [name for name, _ in outcomes],
@@ -488,8 +459,7 @@ def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: floa
     return preds, truth
 
 
-def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
-    del jobs  # a handful of batched forward passes; parallelism buys nothing
+def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path) -> dict:
     model_paths = _model_paths(models_dir, cache_path)
     ens_cfg = cfg.section(EnsembleConfig, "ensemble", machines=len(model_paths))
     preds, truth = _pool_predictions(model_paths, cache_path, ens_cfg.threshold)
@@ -509,13 +479,6 @@ def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Pa
 
 # ---------------------------------------------------------------- curve
 
-def _curve_task(inherited, task):
-    preds, truth, n_combinations, threshold, seed = inherited
-    method, m = task
-    [point] = f1_vs_m_experiment(preds, truth, [m], n_combinations, method, threshold, seed)
-    return method, point
-
-
 def _m_values(raw: str) -> list[int]:
     """curve.m_values as sorted, distinct sizes; none for the empty default, which means every size of the pool."""
     try:
@@ -529,19 +492,18 @@ def _m_values(raw: str) -> list[int]:
     return values
 
 
-def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path, jobs: int) -> dict:
+def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path) -> dict:
     model_paths = _model_paths(models_dir, cache_path)
     m_values = _m_values(cfg["curve.m_values"]) or list(range(1, len(model_paths) + 1))
     if m_values[-1] > len(model_paths):
         raise CliError("config", f"curve.m_values entry {m_values[-1]} outside pool of {len(model_paths)}")
     n_combinations, threshold = cfg["curve.n_combinations"], cfg["ensemble.threshold"]
     preds, truth = _pool_predictions(model_paths, cache_path, threshold)
-
-    tasks = [(method, m) for method in (1, 2, 3) for m in m_values]
-    inherited = (preds, truth, n_combinations, threshold, cfg["seed"])
-    points: dict[int, list] = {1: [], 2: [], 3: []}
-    for method, point in _map(_curve_task, tasks, jobs, inherited):  # in task order, so each in increasing M
-        points[method].append(point)
+    # in line: the fusion holds the interpreter lock, so threads would only take turns at it
+    points = {
+        method: f1_vs_m_experiment(preds, truth, m_values, n_combinations, method, threshold, cfg["seed"])
+        for method in (1, 2, 3)
+    }
 
     rows = []
     for method in (1, 2, 3):
@@ -651,9 +613,9 @@ def _build_parser() -> _Parser:
             "--jobs",
             type=int,
             default=1,
-            help="worker processes (1 = one process; synth then renders a clip per usable core, up to 2, on threads), "
-            "no more than a stage has tasks or a synth split has clips, each counted in the featurize and train "
-            "memory plans; every N writes the same bytes",
+            help="worker threads for synth, featurize and train (1 = in line, but synth renders a clip per usable "
+            "core, up to 2), no more than a stage has tasks or a synth split has clips, each counted in the stage's "
+            "memory plan; evaluate and curve run in line; every N writes the same bytes",
         )
 
     common(sub.add_parser("synth", help="generate a synthetic labeled corpus"))
@@ -711,9 +673,9 @@ def main(argv=None) -> int:
         elif args.command == "train":
             summary = cmd_train(cfg, Path(args.cache), out_dir, args.jobs)
         elif args.command == "evaluate":
-            summary = cmd_evaluate(cfg, Path(args.models), Path(args.cache), out_dir, args.jobs)
+            summary = cmd_evaluate(cfg, Path(args.models), Path(args.cache), out_dir)
         else:
-            summary = cmd_curve(cfg, Path(args.models), Path(args.cache), out_dir, args.jobs)
+            summary = cmd_curve(cfg, Path(args.models), Path(args.cache), out_dir)
         _write_run_artifacts(out_dir, args.command, cfg, summary)
         return 0
     except CliError as exc:
@@ -728,6 +690,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # _map left its threads running; a thread cannot be stopped, so end them all now
+        os._exit(130)
 
 
 if __name__ == "__main__":

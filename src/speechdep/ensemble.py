@@ -43,8 +43,8 @@ class PredictionSet:
     def __post_init__(self):
         if not self.speakers:
             raise ValueError("prediction set has no speakers")
-        if np.any((self.probs < 0.0) | (self.probs > 1.0)):
-            raise ValueError("prediction set has probabilities outside [0, 1]")
+        if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # false for nan too
+            raise ValueError("prediction set has probabilities outside [0, 1] or nan")
         self.sizes = np.diff(self.offsets, append=self.probs.shape[1])
         self.ones = np.add.reduceat(self.labels, self.offsets, axis=1)
         self.by_size = [
@@ -84,11 +84,11 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.machines < 1:
-            raise ValueError("need at least one machine")
+            raise ValueError(f"machines must be >= 1, got {self.machines}")
         if self.method not in (1, 2, 3):
-            raise ValueError(f"unknown fusion method {self.method}")
+            raise ValueError(f"method must be 1, 2 or 3, got {self.method}")
         if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+            raise ValueError(f"threshold must lie strictly inside (0, 1), got {self.threshold}")
 
 
 def sample_labels(probs, threshold: float = 0.5) -> np.ndarray:

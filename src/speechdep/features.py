@@ -237,7 +237,7 @@ class _CacheRecords:
 
     The walk keeps each record's speaker id, crop index, label and values offset, and the one read-only
     descriptor it walked with, closed once the records are dropped. Every read is a pread at a record's
-    offset, so the descriptor has no file position to share and forked workers read through it alike.
+    offset, so the descriptor has no file position to share and threads read through it alike.
     """
 
     dtype = np.dtype("<f4")

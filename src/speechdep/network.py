@@ -58,15 +58,12 @@ class NetworkConfig:
     hidden: int = 128
 
     def __post_init__(self):
-        if min(self.freq_bins, self.time_steps, self.filters, self.hidden) < 1:
-            raise ValueError("all dimensions must be >= 1")
-        if self.pool_kernel < 1 or self.pool_stride < 1:
-            raise ValueError("pool kernel and stride must be >= 1")
-        if self.pool_pad < 0:
-            raise ValueError(f"pool_pad must be >= 0, got {self.pool_pad}")
         for name in _HEADER_FIELDS:  # each is a u32 of the model file header
-            if getattr(self, name) > _U32_MAX:
-                raise ValueError(f"{name} must be <= {_U32_MAX}, got {getattr(self, name)}")
+            value, low = getattr(self, name), 0 if name == "pool_pad" else 1
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value > _U32_MAX:
+                raise ValueError(f"{name} must be <= {_U32_MAX}, got {value}")
 
     @property
     def pooled_steps(self) -> int:

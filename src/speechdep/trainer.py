@@ -24,7 +24,7 @@ machines' params and Adadelta state (eg2, edx2) stay alive together, about
 adds one gradient vector; the in-place update allocates only two
 slice-sized scratch arrays. planned_bytes sums these. The CLI's `train
 --jobs N` splits the machines into at most N contiguous groups and trains
-each group this way in a worker of its own.
+each group this way on a thread of its own.
 """
 
 from __future__ import annotations
@@ -63,16 +63,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr_start", "lr_end", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.lr_end <= self.lr_start:
-            raise ValueError("need 0 <= lr_end <= lr_start")
+            raise ValueError(f"need 0 <= lr_end <= lr_start, got lr_end {self.lr_end} and lr_start {self.lr_start}")
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must be in [0, 1)")
+            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if not np.isfinite([self.lr_start, self.lr_end, self.eps]).all():
-            raise ValueError("lr_start, lr_end and eps must be finite")
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass

@@ -266,6 +266,14 @@ def test_inconsistent_sets_are_rejected():
         _pool([[0.1, 1.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf, -0.25, 1.25])
+def test_a_probability_outside_0_1_or_nan_is_rejected(bad):
+    """A nan fails every comparison, so it must fail the range check, not pass it and be thresholded as 0."""
+    with pytest.raises(ValueError, match=r"outside \[0, 1\] or nan"):
+        _pool([[0.1, 0.9], [bad, 0.5]])
+    assert _pool([[0.0, 1.0]]).machines == 1  # both ends lie inside
+
+
 def test_interleaved_speakers_keep_their_crop_order():
     preds = PredictionSet.from_pool(["b", "a", "b", "c", "a"], [7, 3, 2, 9, 0], [[0.1, 0.2, 0.3, 0.4, 0.5]])
     assert preds.speakers == ["a", "b", "c"]

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _peak_mb(*argv) -> float:
-    """ru_maxrss of one CLI call in a child process, which must exit 0; its forked workers are in it too."""
+    """ru_maxrss of one CLI call in a child process, which must exit 0; its --jobs threads share that memory."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     child = subprocess.Popen([sys.executable, "-m", "speechdep.cli", *map(str, argv)], env=env)
     _, status, usage = os.wait4(child.pid, 0)
