@@ -352,15 +352,23 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
         "train": materialize_training_set(plan, train_counts, seed=seed + 1),
         "test": materialize_eval_set(test_counts, cap=cfg["sampling.eval_cap"]),
     }
+    crop_s, window_s, hop_s, n_fft = cfg["sampling.crop_s"], stft_cfg.window_s, stft_cfg.hop_s, stft_cfg.n_fft
     for split, split_entries in (("train", train_entries), ("test", test_entries)):
         if split_entries and not orders[split]:
-            crop_s = cfg["sampling.crop_s"]
             raise CliError("data", f"the {split} split yields no whole crop of sampling.crop_s={crop_s} s")
+    crop_len, win, hop = (samples(s, first_rate) for s in (crop_s, window_s, hop_s))
+    at = f"samples at {first_rate} Hz"  # stft's own demands, judged as config before any crop is featurized
+    if win > n_fft:
+        raise CliError("config", f"stft.window_s={window_s} is {win} {at}, over stft.n_fft={n_fft}")
+    if win < 2:
+        raise CliError("config", f"stft.window_s={window_s} is {win} {at}; a Hamming window needs at least 2")
+    if hop < 1:
+        raise CliError("config", f"stft.hop_s={hop_s} is {hop} {at}; it must be at least 1")
+    if crop_len < max(win, hop):
+        raise CliError("config", f"sampling.crop_s={crop_s} is {crop_len} {at}, under the window {win} or hop {hop}")
     # the larger split's float32 features, all held until its cache is written, and per worker one crop's
-    # float64 windowed frames, complex128 spectrum and two float64 magnitudes of it; a hop that rounds to
-    # 0 samples is left to stft's own error
-    win, hop = stft_cfg.window_samples(first_rate), max(stft_cfg.hop_samples(first_rate), 1)
-    frames, held = samples(cfg["sampling.crop_s"], first_rate) // hop, max(map(len, orders.values()))
+    # float64 windowed frames, complex128 spectrum and two float64 magnitudes of it
+    frames, held = crop_len // hop, max(map(len, orders.values()))
     need = frames * (4 * held * stft_cfg.freq_bins + min(jobs, len(entries)) * (8 * win + 32 * stft_cfg.freq_bins))
     _check_fits_memory(need, f"featurizing {held} crops")
 
@@ -448,7 +456,7 @@ class _ModelPool(Sequence):
 
 
 def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: float):
-    """The pool's thresholded predictions and every speaker's true label; one model and one batch held at a time."""
+    """The pool's thresholded predictions and the true labels in their speaker order; one model and one batch held."""
     features = open_feature_cache(cache_path)
     net_cfg = load_model(model_paths[0])[0]  # its params are dropped at once
     shape = (net_cfg.freq_bins, net_cfg.time_steps)

@@ -1,7 +1,8 @@
 """Fusing per-sample probabilities from several networks into speaker labels.
 
 Three fusion methods over M machines, the picked rows of one (machines,
-crops) probability matrix whose columns group by speaker:
+crops) probability matrix whose columns group by speaker. Each returns one
+int64 label per speaker, in PredictionSet.speakers order:
 
 1. average probabilities per sample across machines, then threshold the
    per-speaker mean probability;
@@ -10,7 +11,8 @@ crops) probability matrix whose columns group by speaker:
    those M votes.
 
 A probability at or above the threshold maps to label 1. Exact majority
-ties are settled by a seeded generator so reruns reproduce the same draws.
+ties are settled by a seeded generator, drawing in speaker order, so reruns
+reproduce the same draws.
 """
 
 from __future__ import annotations
@@ -96,15 +98,11 @@ def sample_labels(probs, threshold: float = 0.5) -> np.ndarray:
     return (probs >= threshold).astype(np.int64)
 
 
-def _by_speaker(preds: PredictionSet, labels) -> dict[str, int]:
-    return dict(zip(preds.speakers, np.asarray(labels, dtype=np.int64).tolist()))
-
-
 def _picked(preds: PredictionSet, picks) -> np.ndarray:
     return np.arange(preds.machines) if picks is None else np.asarray(picks, dtype=np.intp)
 
 
-def fuse_method1(preds: PredictionSet, threshold: float = 0.5, picks=None) -> dict[str, int]:
+def fuse_method1(preds: PredictionSet, threshold: float = 0.5, picks=None) -> np.ndarray:
     """Average sample probabilities across the picked machines, then threshold each speaker's mean.
 
     Rounding follows a per-speaker (machines, crops) stack: machines add in
@@ -119,10 +117,10 @@ def fuse_method1(preds: PredictionSet, threshold: float = 0.5, picks=None) -> di
             speaker_means[where] = np.ascontiguousarray(rows[:, cols[:, 0]].T).mean(axis=1)
         else:
             speaker_means[where] = crop_means[cols].mean(axis=1)
-    return _by_speaker(preds, speaker_means >= threshold)
+    return (speaker_means >= threshold).astype(np.int64)
 
 
-def fuse_method2(preds: PredictionSet, rng, picks=None) -> dict[str, int]:
+def fuse_method2(preds: PredictionSet, rng, picks=None) -> np.ndarray:
     """Majority over the pooled M*L_i sample labels of each speaker; ties draw in speaker order."""
     picks = _picked(preds, picks)
     ones = preds.ones[picks].sum(axis=0)
@@ -130,10 +128,10 @@ def fuse_method2(preds: PredictionSet, rng, picks=None) -> dict[str, int]:
     out = (2 * ones > total).astype(np.int64)
     for s in np.flatnonzero(2 * ones == total):
         out[s] = rng.integers(0, 2)
-    return _by_speaker(preds, out)
+    return out
 
 
-def fuse_method3(preds: PredictionSet, rng, picks=None) -> dict[str, int]:
+def fuse_method3(preds: PredictionSet, rng, picks=None) -> np.ndarray:
     """Per-machine speaker majority, then majority across the machine votes.
 
     Ties draw speaker by speaker: first the speaker's machine ties in pick
@@ -150,11 +148,14 @@ def fuse_method3(preds: PredictionSet, rng, picks=None) -> dict[str, int]:
             votes[machine, s] = rng.integers(0, 2)
         tally = votes[:, s].sum()
         out[s] = rng.integers(0, 2) if 2 * tally == m else int(2 * tally > m)
-    return _by_speaker(preds, out)
+    return out
 
 
-def fuse(preds: PredictionSet, cfg: EnsembleConfig, rng=None, picks=None) -> dict[str, int]:
-    """Fuse the picked machines (default all) by cfg.method; rng defaults to a generator seeded with cfg.tie_seed."""
+def fuse(preds: PredictionSet, cfg: EnsembleConfig, rng=None, picks=None) -> np.ndarray:
+    """Labels in preds.speakers order, the picked machines (default all) fused by cfg.method.
+
+    rng defaults to a generator seeded with cfg.tie_seed.
+    """
     n_picked = preds.machines if picks is None else len(picks)
     if n_picked != cfg.machines:
         raise ValueError(f"expected {cfg.machines} machines, got {n_picked}")
@@ -176,7 +177,7 @@ class F1CurvePoint:
 
 def f1_vs_m_experiment(
     preds: PredictionSet,
-    truth: dict[str, int],
+    truth: np.ndarray,
     m_values,
     n_combinations: int = 200,
     method: int = 1,
@@ -184,6 +185,8 @@ def f1_vs_m_experiment(
     seed: int = 0,
 ) -> list[F1CurvePoint]:
     """F1 mean/std per class as the ensemble grows, over seeded machine subsets of preds.
+
+    truth holds each speaker's label in preds.speakers order.
 
     For each M, n_combinations subsets of the machines are drawn without
     replacement; each combination uses an rng stream derived from

@@ -1,7 +1,8 @@
 """Speaker-level scoring: confusion counts, per-class precision/recall/F1,
 speaker-disjoint stratified k-fold splits, and a cross-validation harness
-that pools every fold's test predictions into one concatenated list before
-computing the headline metrics.
+that pools every fold's test predictions into one concatenated array before
+computing the headline metrics. Per-speaker labels, true or fused, are int
+arrays in PredictionSet.speakers (sorted) order.
 
 Class 1 is the positive class for its own metrics and class 0 for its own,
 so each class gets a precision, recall and F1 with itself as the target.
@@ -56,21 +57,17 @@ class MetricsReport:
 
 
 def confusion(truth, predicted) -> ConfusionCounts:
-    """Counts with class 1 as positive; both mappings must share one key set."""
-    if set(truth) != set(predicted):
-        missing = sorted(set(truth) ^ set(predicted))
-        raise ValueError(f"truth and prediction keys differ: {missing[:5]}")
-    if not truth:
+    """Counts with class 1 as positive over two aligned 0/1 label arrays, one entry per speaker."""
+    truth, predicted = np.asarray(truth), np.asarray(predicted)
+    if truth.shape != predicted.shape:
+        raise ValueError(f"truth of shape {truth.shape} does not align with prediction of shape {predicted.shape}")
+    if not truth.size:
         raise ValueError("no speakers to score")
-    tp = fp = tn = fn = 0
-    for key, actual in truth.items():
-        pred = predicted[key]
-        if actual not in (0, 1) or pred not in (0, 1):
-            raise ValueError(f"labels must be 0 or 1, got {actual!r}/{pred!r} for {key!r}")
-        if actual == 1:
-            tp, fn = (tp + 1, fn) if pred == 1 else (tp, fn + 1)
-        else:
-            tn, fp = (tn + 1, fp) if pred == 0 else (tn, fp + 1)
+    binary = ((truth == 0) | (truth == 1)) & ((predicted == 0) | (predicted == 1))
+    if not binary.all():
+        i = int(np.argmin(binary))
+        raise ValueError(f"labels must be 0 or 1, got {truth[i]}/{predicted[i]} at speaker {i}")
+    tn, fp, fn, tp = np.bincount(2 * truth.astype(np.intp) + predicted.astype(np.intp), minlength=4).tolist()
     return ConfusionCounts(tp, fp, tn, fn)
 
 
@@ -107,23 +104,21 @@ def metrics(conf: ConfusionCounts) -> MetricsReport:
     )
 
 
-def kfold_split(labels, k: int, seed: int = 0) -> list[list[str]]:
-    """The k validation folds, each sorted: a class-stratified partition by seeded shuffle within class, round-robin."""
+def kfold_split(labels, k: int, seed: int = 0) -> list[list[int]]:
+    """The k validation folds of a speaker-ordered label array as sorted positions: classes shuffled, dealt in turn."""
     if k < 2:
         raise ValueError("k must be >= 2 for a fold plan")
-    bad = {s: y for s, y in labels.items() if y not in (0, 1)}
-    if bad:
-        raise ValueError(f"labels must be 0 or 1: {sorted(bad)[:5]}")
-    members = {label: sorted(s for s, y in labels.items() if y == label) for label in (0, 1)}
+    labels = np.asarray(labels)
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, but are not at speaker positions {bad[:5].tolist()}")
+    members = [np.flatnonzero(labels == label) for label in (0, 1)]
     for label in (0, 1):
         if k > len(members[label]):
             raise ValueError(f"k={k} exceeds the {len(members[label])} speakers of class {label}")
     rng = np.random.default_rng(seed)
-    folds: list[list[str]] = [[] for _ in range(k)]
-    for label in (0, 1):
-        for i, idx in enumerate(rng.permutation(len(members[label]))):
-            folds[i % k].append(members[label][idx])
-    return [sorted(f) for f in folds]
+    dealt = [m[rng.permutation(len(m))] for m in members]
+    return [np.sort(np.concatenate([d[f::k] for d in dealt])).tolist() for f in range(k)]
 
 
 def predict_speaker_probs(
@@ -150,13 +145,16 @@ def predict_speaker_probs(
     return probs
 
 
-def speaker_labels(features: FeatureSet) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for speaker_id, label in zip(features.speaker_ids, features.labels):
-        prior = out.setdefault(speaker_id, label)
-        if prior != label:
-            raise ValueError(f"speaker {speaker_id} carries conflicting labels")
-    return out
+def speaker_labels(features: FeatureSet) -> np.ndarray:
+    """Each speaker's label in sorted speaker order, the order of PredictionSet.speakers; a conflict raises."""
+    speaker_ids = np.asarray(features.speaker_ids, dtype=str)
+    _, first, inverse = np.unique(speaker_ids, return_index=True, return_inverse=True)
+    labels = np.asarray(features.labels, dtype=np.int64)
+    truth = labels[first]
+    conflicts = np.flatnonzero(labels != truth[inverse])
+    if conflicts.size:
+        raise ValueError(f"speaker {speaker_ids[conflicts[0]]} carries conflicting labels")
+    return truth
 
 
 def prediction_set_for(
@@ -172,7 +170,7 @@ class CrossValResult:
     fold_reports: list[MetricsReport]
     pooled_report: MetricsReport
     fold_validation: list[list[str]]
-    fold_predictions: list[dict[str, int]]
+    fold_predictions: list[np.ndarray]  # per fold, the fused test labels in sorted speaker order
     histories: list[list[TrainHistory]] = field(default_factory=list)
 
 
@@ -187,41 +185,32 @@ def cross_validate(
 ) -> CrossValResult:
     """Train per fold on the non-held-out speakers, score the fixed test set.
 
-    Every fold's test-speaker predictions are concatenated, each test speaker
-    contributing k rows, and the pooled list is scored against duplicated
-    truth labels. k=1 degenerates to a single train-on-everything pass with
+    Every fold's fused test labels are concatenated, each test speaker
+    contributing k entries, and the pooled array is scored against the truth
+    tiled k times. k=1 degenerates to a single train-on-everything pass with
     no validation subset.
     """
     if not train_features or not test_features:
         raise ValueError("need non-empty train and test feature sets")
-    train_labels = speaker_labels(train_features)
+    speakers, speaker_of = np.unique(np.asarray(train_features.speaker_ids, dtype=str), return_inverse=True)
     test_truth = speaker_labels(test_features)
+    val_sets = [[]] if k == 1 else kfold_split(speaker_labels(train_features), k, seed)
 
-    val_sets = [[]] if k == 1 else kfold_split(train_labels, k, seed)
-
-    fold_reports = []
-    fold_predictions = []
-    histories = []
-    pooled_truth: dict[tuple[int, str], int] = {}
-    pooled_pred: dict[tuple[int, str], int] = {}
-
-    for fold, held_out in enumerate(val_sets):
-        held = set(held_out)
-        in_val = np.array([s in held for s in train_features.speaker_ids], dtype=bool)
+    fold_reports, fold_predictions, histories = [], [], []
+    for held_out in val_sets:
+        in_val = np.isin(speaker_of, held_out)
         fold_train = train_features.take(np.flatnonzero(~in_val))
-        fold_val = train_features.take(np.flatnonzero(in_val)) if held else None
+        fold_val = train_features.take(np.flatnonzero(in_val)) if held_out else None
         seeds = range(train_cfg.seed, train_cfg.seed + ens_cfg.machines)
         params_list, hist_list = train(fold_train, net_cfg, train_cfg, init_seeds=seeds, val_features=fold_val)
         fused = fuse(prediction_set_for(params_list, net_cfg, test_features, ens_cfg.threshold), ens_cfg)
         fold_reports.append(metrics(confusion(test_truth, fused)))
         fold_predictions.append(fused)
         histories.append(hist_list)
-        for speaker, label in test_truth.items():
-            pooled_truth[(fold, speaker)] = label
-            pooled_pred[(fold, speaker)] = fused[speaker]
 
-    pooled_report = metrics(confusion(pooled_truth, pooled_pred))
-    return CrossValResult(fold_reports, pooled_report, val_sets, fold_predictions, histories)
+    pooled_report = metrics(confusion(np.tile(test_truth, len(val_sets)), np.concatenate(fold_predictions)))
+    fold_validation = [speakers[held_out].tolist() for held_out in val_sets]
+    return CrossValResult(fold_reports, pooled_report, fold_validation, fold_predictions, histories)
 
 
 def write_metrics_csv(path, fold_reports, pooled_report) -> None:

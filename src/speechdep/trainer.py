@@ -21,10 +21,11 @@ batch, not per training set: a FeatureSet that reads its records from a
 cache file when batched holds one batch of values at a time. All of the
 machines' params and Adadelta state (eg2, edx2) stay alive together, about
 3 x n_params x 8 B per machine (14.2 MB at the reference geometry). A step
-adds one gradient vector; the in-place update allocates only two
-slice-sized scratch arrays. planned_bytes sums these. The CLI's `train
---jobs N` splits the machines into at most N contiguous groups and trains
-each group this way on a thread of its own.
+adds one gradient vector and its activations; the in-place update allocates
+only two slice-sized scratch arrays. planned_bytes sums these. The CLI's
+`train --jobs N` splits the machines into at most N contiguous groups and
+trains each group this way on a thread of its own. Validation is one pool
+prediction per epoch, each of its batches normalized once for all machines.
 """
 
 from __future__ import annotations
@@ -140,24 +141,15 @@ def adadelta_step(
 def planned_bytes(net_cfg: NetworkConfig, batch_size: int, n_records: int, machines: int, groups: int) -> int:
     """Bytes that training `machines` machines in `groups` concurrent lockstep groups holds at once.
 
-    Params and Adadelta state per machine; one gradient vector and one float64
-    batch operand per group. A step's activations and the records are left out.
+    Params and Adadelta state per machine. Per group, one step's: gradient
+    vector, float64 batch operand, float64 conv activation, and pooled maxima
+    with their gradient. The records are left out.
     """
-    vector = 8 * net_cfg.n_params
-    operand = 8 * net_cfg.freq_bins * min(batch_size, n_records) * net_cfg.time_steps
-    return machines * 3 * vector + groups * (vector + operand)
-
-
-def evaluate_loss(params: NetworkParams, cfg: NetworkConfig, features: FeatureSet, batch_size: int = 256):
-    """(mean BCE, accuracy at threshold 0.5) over a feature set; the BCE weighs each batch's mean by its size."""
-    from .evaluation import predict_speaker_probs  # deferred: evaluation imports this module
-
-    probs = predict_speaker_probs([params], cfg, features, batch_size)[0]
-    ys = np.asarray(features.labels, dtype=np.float64)
-    chunks = [slice(lo, lo + batch_size) for lo in range(0, len(ys), batch_size)]
-    loss = sum(batch_loss(probs[c], ys[c]) * len(ys[c]) for c in chunks)
-    correct = int(np.sum((probs >= 0.5).astype(np.int64) == ys.astype(np.int64)))
-    return loss / len(ys), correct / len(ys)
+    vector, batch = 8 * net_cfg.n_params, min(batch_size, n_records)
+    operand = 8 * net_cfg.freq_bins * batch * net_cfg.time_steps
+    activation = 8 * net_cfg.filters * batch * net_cfg.time_steps
+    pooled = 2 * 8 * batch * net_cfg.flat_size
+    return machines * 3 * vector + groups * (vector + operand + activation + pooled)
 
 
 def train(
@@ -172,7 +164,13 @@ def train(
     init_seeds defaults to [cfg.seed]; the shuffle order always derives from
     cfg.seed alone, so the machines share every batch and differ only in
     initialisation. Returns params and histories in init_seeds order.
+
+    Each epoch's validation is one predict_speaker_probs call for all the
+    machines: machine m's val_loss is batch_loss over its row, and its
+    val_acc the share of the row that is right at 0.5.
     """
+    from .evaluation import predict_speaker_probs  # deferred: evaluation imports this module
+
     if not features:
         raise ValueError("no training samples")
     seeds = [cfg.seed] if init_seeds is None else list(init_seeds)
@@ -183,6 +181,7 @@ def train(
         if data.record_shape != shape:
             raise ValueError(f"feature shape {data.record_shape} does not fit model {shape}")
     ys = np.asarray(features.labels, dtype=np.float64)
+    val_ys = np.asarray(val_features.labels, dtype=np.float64) if val_features else None
     n = len(features)
     operand = np.empty(shape[0] * min(cfg.batch_size, n) * shape[1])  # every step's conv operand
 
@@ -211,13 +210,13 @@ def train(
                 del grads  # and its gradients, before the next machine's pass
                 epoch_losses[m] += loss * bx.shape[0]
 
-        for params, history, epoch_loss in zip(all_params, histories, epoch_losses):
+        val_probs = predict_speaker_probs(all_params, net_cfg, val_features) if val_features else None
+        for m, (history, epoch_loss) in enumerate(zip(histories, epoch_losses)):
             history.lr.append(lr)
             history.train_loss.append(epoch_loss / n)
             if val_features:
-                val_loss, val_acc = evaluate_loss(params, net_cfg, val_features)
-                history.val_loss.append(val_loss)
-                history.val_acc.append(val_acc)
+                history.val_loss.append(batch_loss(val_probs[m], val_ys))
+                history.val_acc.append(np.count_nonzero((val_probs[m] >= 0.5) == (val_ys == 1.0)) / len(val_ys))
             else:
                 history.val_loss.append(float("nan"))
                 history.val_acc.append(float("nan"))

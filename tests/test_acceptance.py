@@ -283,14 +283,14 @@ def test_criterion_06_fusion_oracles(capsys):
         for flat in itertools.product(grid, repeat=total):
             rows = [list(flat[m * n_samples : (m + 1) * n_samples]) for m in range(n_machines)]
             sets = _single_speaker_pool(rows)
-            assert fuse_method1(sets)["spk"] == _oracle_method1(rows), rows
+            assert fuse_method1(sets).tolist() == [_oracle_method1(rows)], rows
             checked1 += 1
     rng = np.random.default_rng(6)
     for n_machines, n_samples in [(2, 3), (3, 2), (3, 3)]:  # grid too large to exhaust
         for _ in range(400):
             rows = (rng.integers(0, 11, size=(n_machines, n_samples)) / 10).tolist()
             sets = _single_speaker_pool(rows)
-            assert fuse_method1(sets)["spk"] == _oracle_method1(rows), rows
+            assert fuse_method1(sets).tolist() == [_oracle_method1(rows)], rows
             checked1 += 1
 
     checked23 = 0
@@ -303,9 +303,9 @@ def test_criterion_06_fusion_oracles(capsys):
                 sets = _single_speaker_pool([[0.8 if y else 0.2 for y in row] for row in rows])
                 for tie_value in (0, 1):
                     pooled = [y for row in rows for y in row]
-                    assert fuse_method2(sets, _StubRng(tie_value))["spk"] == _oracle_majority(pooled, tie_value)
+                    assert fuse_method2(sets, _StubRng(tie_value)).tolist() == [_oracle_majority(pooled, tie_value)]
                     votes = [_oracle_majority(row, tie_value) for row in rows]
-                    assert fuse_method3(sets, _StubRng(tie_value))["spk"] == _oracle_majority(votes, tie_value)
+                    assert fuse_method3(sets, _StubRng(tie_value)).tolist() == [_oracle_majority(votes, tie_value)]
                     checked23 += 2
 
     identities = 0
@@ -313,9 +313,9 @@ def test_criterion_06_fusion_oracles(capsys):
         for flat in itertools.product((0, 1), repeat=n_samples):
             ps = _single_speaker_pool([[0.8 if y else 0.2 for y in flat]])
             for tie_value in (0, 1):
-                m2 = fuse_method2(ps, _StubRng(tie_value))["spk"]
-                m3 = fuse_method3(ps, _StubRng(tie_value))["spk"]
-                assert m2 == m3 == _oracle_majority(list(flat), tie_value)
+                m2 = fuse_method2(ps, _StubRng(tie_value)).tolist()
+                m3 = fuse_method3(ps, _StubRng(tie_value)).tolist()
+                assert m2 == m3 == [_oracle_majority(list(flat), tie_value)]
                 identities += 1
 
     _report(

@@ -1121,8 +1121,10 @@ def test_bad_second_model_is_one_data_error_line_and_writes_nothing(small_cache,
     assert not any((out / name).exists() for name in ("predictions.csv", "metrics.csv", "curve.csv"))
 
 
-@pytest.mark.parametrize("rate", [8, 1])  # an 8 Hz STFT hop and a 1 Hz trim frame round to 0 samples
-def test_sample_rate_too_low_is_one_data_error_line(pipe, tmp_path, capsys, rate):
+@pytest.mark.parametrize(  # an 8 Hz STFT window rounds to 1 sample, judged with the stft.* config once the rate is known;
+    "rate, category", [(8, "config"), (1, "data")]  # a 1 Hz trim frame rounds to 0 samples while a clip is trimmed
+)
+def test_sample_rate_too_low_is_one_error_line(pipe, tmp_path, capsys, rate, category):
     corpus = tmp_path / "corpus"
     shutil.copytree(pipe.corpus, corpus)
     for wav in (corpus / "wav").glob("*.wav"):
@@ -1130,7 +1132,7 @@ def test_sample_rate_too_low_is_one_data_error_line(pipe, tmp_path, capsys, rate
         write_wav(wav, AudioClip(clip.samples[:: 16000 // rate], rate, clip.speaker_id))
     for jobs in (1, 2):  # under --jobs 2 the error is raised on a worker thread
         code = _run("featurize", "--manifest", corpus / "manifest.csv", "--out", tmp_path / "f", "--jobs", jobs, *FAST)
-        assert f"at {rate} Hz" in _assert_one_error_line(code, capsys, "data")
+        assert f"at {rate} Hz" in _assert_one_error_line(code, capsys, category)
 
 
 def test_crop_shorter_than_one_sample_is_one_data_error_line(pipe, tmp_path, capsys):
@@ -1485,6 +1487,25 @@ def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
     line = _assert_one_error_line(code, capsys, "config")
     assert f" {setting.partition('=')[0]} " in line, line  # the whole key, not its suffix
     assert calls == [] and not list((tmp_path / "o").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("stft.window_s=0.1", "stft.window_s=0.1 is 1600 samples at 16000 Hz, over stft.n_fft=1024"),
+        ("stft.window_s=0.00005", "stft.window_s=5e-05 is 1 samples at 16000 Hz; a Hamming window needs at least 2"),
+        ("stft.hop_s=0.00001", "stft.hop_s=1e-05 is 0 samples at 16000 Hz; it must be at least 1"),
+        ("sampling.crop_s=0.01", "sampling.crop_s=0.01 is 160 samples at 16000 Hz, under the window 1024 or hop 512"),
+    ],
+)
+def test_stft_geometry_that_cannot_be_computed_is_one_config_error_line_before_any_feature(
+    pipe, tmp_path, capsys, monkeypatch, setting, message
+):
+    """Judged once the sample rate is known, where stft would have raised from a worker for every crop."""
+    calls = _forbid(monkeypatch, "featurize_raw")
+    code = _run("featurize", "--manifest", pipe.corpus / "manifest.csv", "--out", tmp_path / "f", "--set", setting)
+    assert _assert_one_error_line(code, capsys, "config").startswith(f"error:config: {message}")
+    assert calls == [] and not list((tmp_path / "f").glob("*"))
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,12 @@ def _dict_method3(sets, rng):
     return out
 
 
+def _in_speaker_order(preds, by_speaker):
+    """An oracle's {speaker: label} as the list fusion returns, in preds.speakers order."""
+    assert sorted(by_speaker) == preds.speakers
+    return [by_speaker[s] for s in preds.speakers]
+
+
 @st.composite
 def _tie_heavy_pools(draw):
     """Probabilities on a 0.1 grid over 1-9 machines and 1-6 speakers of 1-7 crops each, interleaved."""
@@ -119,10 +125,10 @@ def test_dense_fusion_equals_the_dict_fusion(pool, seed):
     speaker_ids, probs, picks = pool
     preds = PredictionSet.from_pool(speaker_ids, range(len(speaker_ids)), probs)
     picked = [_DictSet(speaker_ids, probs[m]) for m in picks]
-    assert fuse_method1(preds, picks=picks) == _dict_method1(picked)
+    assert fuse_method1(preds, picks=picks).tolist() == _in_speaker_order(preds, _dict_method1(picked))
     for dense, oracle in ((fuse_method2, _dict_method2), (fuse_method3, _dict_method3)):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert dense(preds, rng, picks) == oracle(picked, oracle_rng)
+        assert dense(preds, rng, picks).tolist() == _in_speaker_order(preds, oracle(picked, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -132,9 +138,10 @@ def test_one_crop_speaker_mean_rounds_as_a_1d_mean_over_machines():
     column = [0.5, 0.2, 0.8, 0.5, 1.0, 0.3, 0.3, 0.8, 0.1]
     speaker_ids = ["one", "two", "two"]
     rows = [[p, 0.9, 0.9] for p in column]
-    fused = fuse_method1(_pool(rows, speaker_ids))
-    assert fused == _dict_method1([_DictSet(speaker_ids, row) for row in rows])
-    assert fused["one"] == 1
+    preds = _pool(rows, speaker_ids)
+    fused = fuse_method1(preds)
+    assert fused.tolist() == _in_speaker_order(preds, _dict_method1([_DictSet(speaker_ids, row) for row in rows]))
+    assert preds.speakers[0] == "one" and fused[0] == 1
 
 # independent single-speaker oracles, straight from the defining formulas
 def _oracle_method1(prob_rows, threshold=0.5):
@@ -168,10 +175,10 @@ def test_sample_labels_threshold_boundary():
 
 
 def test_speaker_label_mean_hand_cases():  # method 1 over one machine
-    assert fuse_method1(_pool([[0.9, 0.2, 0.8]]))["spk"] == 1  # mean 0.6333
-    assert fuse_method1(_pool([[0.4, 0.4]]))["spk"] == 0
-    assert fuse_method1(_pool([[0.5]]))["spk"] == 1
-    assert fuse_method1(_pool([[0.7]]))["spk"] == sample_labels([0.7])[0]
+    assert fuse_method1(_pool([[0.9, 0.2, 0.8]])).tolist() == [1]  # mean 0.6333
+    assert fuse_method1(_pool([[0.4, 0.4]])).tolist() == [0]
+    assert fuse_method1(_pool([[0.5]])).tolist() == [1]
+    assert fuse_method1(_pool([[0.7]])).tolist() == [sample_labels([0.7])[0]]
 
 
 def test_speaker_label_mode_majority_and_ties():
@@ -190,7 +197,7 @@ def test_method1_matches_oracle_on_probability_grid():
         total = n_machines * n_samples
         for flat in itertools.product(grid, repeat=total):
             rows = [list(flat[m * n_samples : (m + 1) * n_samples]) for m in range(n_machines)]
-            assert fuse_method1(_pool(rows))["spk"] == _oracle_method1(rows)
+            assert fuse_method1(_pool(rows)).tolist() == [_oracle_method1(rows)]
 
 
 def test_method1_matches_oracle_on_sampled_grid_large_shapes():
@@ -198,7 +205,7 @@ def test_method1_matches_oracle_on_sampled_grid_large_shapes():
     for n_machines, n_samples in [(2, 3), (3, 2), (3, 3)]:
         for _ in range(400):
             rows = (rng.integers(0, 11, size=(n_machines, n_samples)) / 10).tolist()
-            assert fuse_method1(_pool(rows))["spk"] == _oracle_method1(rows)
+            assert fuse_method1(_pool(rows)).tolist() == [_oracle_method1(rows)]
 
 
 def test_methods_2_and_3_match_oracles_exhaustively():
@@ -209,17 +216,17 @@ def test_methods_2_and_3_match_oracles_exhaustively():
                 rows = [list(flat[m * n_samples : (m + 1) * n_samples]) for m in range(n_machines)]
                 sets = _pool_from_labels(rows)
                 for tie in (0, 1):
-                    assert fuse_method2(sets, StubRng(tie))["spk"] == _oracle_method2(rows, tie)
-                    assert fuse_method3(sets, StubRng(tie))["spk"] == _oracle_method3(rows, tie)
+                    assert fuse_method2(sets, StubRng(tie)).tolist() == [_oracle_method2(rows, tie)]
+                    assert fuse_method3(sets, StubRng(tie)).tolist() == [_oracle_method3(rows, tie)]
 
 
 def test_m_equals_one_reductions():
     rng = np.random.default_rng(4)
     probs = rng.uniform(size=5).tolist()
     ps = _pool([probs])
-    assert fuse_method1(ps)["spk"] == speaker_label_mean(probs)
-    assert fuse_method2(ps, RaisingRng())["spk"] == _mode(ps.labels[0], RaisingRng())
-    assert fuse_method3(ps, RaisingRng())["spk"] == _mode(ps.labels[0], RaisingRng())
+    assert fuse_method1(ps).tolist() == [speaker_label_mean(probs)]
+    assert fuse_method2(ps, RaisingRng()).tolist() == [_mode(ps.labels[0], RaisingRng())]
+    assert fuse_method3(ps, RaisingRng()).tolist() == [_mode(ps.labels[0], RaisingRng())]
 
 
 def test_machine_permutation_invariance():
@@ -231,9 +238,9 @@ def test_machine_permutation_invariance():
     base3 = fuse_method3(sets, RaisingRng())
     for perm in itertools.permutations(range(3)):
         perm = list(perm)
-        assert fuse_method1(sets, picks=perm) == base1
-        assert fuse_method2(sets, RaisingRng(), perm) == base2
-        assert fuse_method3(sets, RaisingRng(), perm) == base3
+        np.testing.assert_array_equal(fuse_method1(sets, picks=perm), base1)
+        np.testing.assert_array_equal(fuse_method2(sets, RaisingRng(), perm), base2)
+        np.testing.assert_array_equal(fuse_method3(sets, RaisingRng(), perm), base3)
 
 
 def test_odd_machines_odd_samples_never_tie():
@@ -249,10 +256,10 @@ def test_method2_and_method3_can_disagree():
     # pooled counts 4 ones vs 6 zeros, but per-machine votes split 1-1
     rows = [[1, 0, 0, 0, 0], [1, 1, 1, 0, 0]]
     sets = _pool_from_labels(rows)
-    assert fuse_method2(sets, StubRng(0))["spk"] == 0
-    assert fuse_method2(sets, StubRng(1))["spk"] == 0  # no tie: decisive majority
-    assert fuse_method3(sets, StubRng(0))["spk"] == 0
-    assert fuse_method3(sets, StubRng(1))["spk"] == 1  # machine votes tie 1-1
+    assert fuse_method2(sets, StubRng(0)).tolist() == [0]
+    assert fuse_method2(sets, StubRng(1)).tolist() == [0]  # no tie: decisive majority
+    assert fuse_method3(sets, StubRng(0)).tolist() == [0]
+    assert fuse_method3(sets, StubRng(1)).tolist() == [1]  # machine votes tie 1-1
 
 
 def test_inconsistent_sets_are_rejected():
@@ -289,7 +296,8 @@ def test_fuse_dispatcher_counts_and_seeding():
     cfg = EnsembleConfig(machines=2, method=2, tie_seed=77)
     first = fuse(sets, cfg)
     again = fuse(sets, cfg)
-    assert first == again  # tie resolved identically per seed
+    assert first.dtype == np.int64 and first.shape == (1,)
+    np.testing.assert_array_equal(first, again)  # tie resolved identically per seed
     with pytest.raises(ValueError, match="expected 3"):
         fuse(sets, EnsembleConfig(machines=3, method=1))
 
@@ -305,9 +313,9 @@ def test_ensemble_config_validation():
 
 def _pool_with_truth(seed=0, n_machines=4, n_speakers=6, n_samples=3):
     rng = np.random.default_rng(seed)
-    truth = {f"s{i}": int(i % 2) for i in range(n_speakers)}
-    speakers = [s for s in truth for _ in range(n_samples)]
-    centers = np.array([0.7 if truth[s] else 0.3 for s in speakers])
+    truth = np.arange(n_speakers) % 2  # speakers s0, s1, ... sort in index order
+    speakers = [f"s{i}" for i in range(n_speakers) for _ in range(n_samples)]
+    centers = np.repeat(np.where(truth == 1, 0.7, 0.3), n_samples)
     probs = np.clip(centers + rng.normal(scale=0.25, size=(n_machines, len(speakers))), 0, 1)
     return PredictionSet.from_pool(speakers, np.tile(np.arange(n_samples), n_speakers), probs), truth
 

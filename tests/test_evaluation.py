@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechdep import evaluation
 from speechdep.ensemble import EnsembleConfig
@@ -22,27 +24,63 @@ from speechdep.trainer import TrainConfig
 from feature_sets import cached_set, feature_set
 
 
+def _dict_confusion(truth, predicted) -> ConfusionCounts:
+    """The per-key walk over {speaker: label} mappings that confusion first was."""
+    if set(truth) != set(predicted):
+        missing = sorted(set(truth) ^ set(predicted))
+        raise ValueError(f"truth and prediction keys differ: {missing[:5]}")
+    if not truth:
+        raise ValueError("no speakers to score")
+    tp = fp = tn = fn = 0
+    for key, actual in truth.items():
+        pred = predicted[key]
+        if actual not in (0, 1) or pred not in (0, 1):
+            raise ValueError(f"labels must be 0 or 1, got {actual!r}/{pred!r} for {key!r}")
+        if actual == 1:
+            tp, fn = (tp + 1, fn) if pred == 1 else (tp, fn + 1)
+        else:
+            tn, fp = (tn + 1, fp) if pred == 0 else (tn, fp + 1)
+    return ConfusionCounts(tp, fp, tn, fn)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=50))
+def test_confusion_equals_the_dict_walk(pairs):
+    truth, predicted = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    oracle = _dict_confusion(dict(enumerate(truth.tolist())), dict(enumerate(predicted.tolist())))
+    assert confusion(truth, predicted) == oracle
+
+
+@pytest.mark.parametrize(
+    "truth, predicted, match",
+    [
+        ([1, 0], [1], r"shape \(2,\) does not align with prediction of shape \(1,\)"),
+        ([0, 2], [0, 1], "labels must be 0 or 1, got 2/1 at speaker 1"),
+        ([1, 0], [0, -1], "got 0/-1 at speaker 1"),
+        ([0.5], [1], "got 0.5/1 at speaker 0"),
+        ([], [], "no speakers to score"),
+    ],
+    ids=["misaligned", "truth-2", "predicted-minus-1", "truth-one-half", "empty"],
+)
+def test_confusion_errors_are_the_dict_walks(truth, predicted, match):
+    with pytest.raises(ValueError, match=match):
+        confusion(np.array(truth), np.array(predicted))
+    with pytest.raises(ValueError):
+        _dict_confusion(dict(enumerate(truth)), dict(enumerate(predicted)))
+
+
 def test_confusion_hand_case():
-    counts = confusion({"a": 1, "b": 0, "c": 1}, {"a": 1, "b": 1, "c": 0})
+    counts = confusion([1, 0, 1], [1, 1, 0])
     assert (counts.tp, counts.fp, counts.tn, counts.fn) == (1, 1, 0, 1)
     assert counts.total == 3
 
 
 def test_confusion_perfect_and_all_positive():
-    truth = {"a": 1, "b": 0, "c": 1, "d": 0}
+    truth = np.array([1, 0, 1, 0])
     perfect = confusion(truth, truth)
     assert perfect.fp == 0 and perfect.fn == 0
-    all_ones = confusion(truth, {k: 1 for k in truth})
+    all_ones = confusion(truth, np.ones_like(truth))
     assert all_ones.fp == 2  # one per true negative
-
-
-def test_confusion_rejects_mismatched_keys_and_bad_labels():
-    with pytest.raises(ValueError, match="keys differ"):
-        confusion({"a": 1}, {"b": 1})
-    with pytest.raises(ValueError, match="labels"):
-        confusion({"a": 2}, {"a": 1})
-    with pytest.raises(ValueError, match="no speakers"):
-        confusion({}, {})
 
 
 def test_metrics_perfect_classifier():
@@ -79,12 +117,12 @@ def test_metrics_zero_denominators_flagged():
 def test_metrics_class_symmetry_under_label_flip():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        truth = {f"s{i}": int(rng.integers(0, 2)) for i in range(12)}
-        pred = {k: int(rng.integers(0, 2)) for k in truth}
-        if len(set(truth.values())) < 2:
+        truth = np.array([rng.integers(0, 2) for _ in range(12)])
+        pred = np.array([rng.integers(0, 2) for _ in truth])
+        if len(set(truth.tolist())) < 2:
             continue
         direct = metrics(confusion(truth, pred))
-        flipped = metrics(confusion({k: 1 - v for k, v in truth.items()}, {k: 1 - v for k, v in pred.items()}))
+        flipped = metrics(confusion(1 - truth, 1 - pred))
         assert direct.per_class[0] == flipped.per_class[1]
         assert direct.per_class[1] == flipped.per_class[0]
         assert direct.accuracy == flipped.accuracy
@@ -96,24 +134,45 @@ def test_metrics_rejects_empty():
 
 
 def test_kfold_balanced_case():
-    labels = {f"s{i}": i % 2 for i in range(10)}
+    labels = np.arange(10) % 2
     folds = kfold_split(labels, k=5, seed=0)
     assert len(folds) == 5
     for fold in range(5):
         val = folds[fold]
-        train = [s for s in labels if s not in val]  # the speakers cross_validate trains the fold on
+        train = [s for s in range(10) if s not in val]  # the speakers cross_validate trains the fold on
         assert len(val) == 2 and val == sorted(val)
         assert sorted(labels[s] for s in val) == [0, 1]
         assert set(val).isdisjoint(train)
-        assert sorted(val + train) == sorted(labels)
+        assert sorted(val + train) == list(range(10))
     everything = [s for f in folds for s in f]
-    assert sorted(everything) == sorted(labels)
+    assert sorted(everything) == list(range(10))
     assert len(everything) == len(set(everything))
+
+
+def _dict_kfold_split(labels, k, seed):
+    """The fold plan over a {speaker: label} mapping that kfold_split first was, for its draws."""
+    members = {label: sorted(s for s, y in labels.items() if y == label) for label in (0, 1)}
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for label in (0, 1):
+        for i, idx in enumerate(rng.permutation(len(members[label]))):
+            folds[i % k].append(members[label][idx])
+    return [sorted(f) for f in folds]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(labels=st.lists(st.integers(0, 1), min_size=4, max_size=40), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_kfold_positions_are_the_dict_plans_speakers(labels, k, seed):
+    if k > min(labels.count(0), labels.count(1)):
+        return
+    speakers = [f"s{i:02d}" for i in range(len(labels))]  # sorted, so positions and ids sort alike
+    folds = kfold_split(np.array(labels), k, seed)
+    assert [[speakers[i] for i in fold] for fold in folds] == _dict_kfold_split(dict(zip(speakers, labels)), k, seed)
 
 
 def test_kfold_stratification_deviation_at_most_one():
     rng = np.random.default_rng(1)
-    labels = {f"a{i}": 0 for i in range(11)} | {f"b{i}": 1 for i in range(7)}
+    labels = np.array([0] * 11 + [1] * 7)
     folds = kfold_split(labels, k=3, seed=int(rng.integers(1000)))
     for fold in folds:
         zeros = sum(1 for s in fold if labels[s] == 0)
@@ -123,7 +182,7 @@ def test_kfold_stratification_deviation_at_most_one():
 
 
 def test_kfold_determinism_and_errors():
-    labels = {f"s{i}": i % 2 for i in range(8)}
+    labels = np.arange(8) % 2
     assert kfold_split(labels, 4, seed=9) == kfold_split(labels, 4, seed=9)
     assert kfold_split(labels, 4, seed=9) != kfold_split(labels, 4, seed=10)
     with pytest.raises(ValueError, match="exceeds"):
@@ -131,7 +190,7 @@ def test_kfold_determinism_and_errors():
     with pytest.raises(ValueError, match="k must be"):
         kfold_split(labels, 1)
     with pytest.raises(ValueError, match="labels"):
-        kfold_split({"a": 0, "b": 2}, 2)
+        kfold_split([0, 2], 2)
 
 
 def _toy_records(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
@@ -155,7 +214,9 @@ def _toy_features(speakers, crops_per_speaker=4, shape=(4, 6), seed=0):
 
 def test_speaker_labels_helper():
     feats = _toy_features({"a": 0, "b": 1})
-    assert speaker_labels(feats) == {"a": 0, "b": 1}
+    truth = speaker_labels(feats)
+    assert truth.dtype == np.int64 and truth.tolist() == [0, 1]
+    assert speaker_labels(_toy_features({"b": 1, "c": 0, "a": 0})).tolist() == [0, 1, 0]  # a, b, c
     feats.labels[0] = 1
     with pytest.raises(ValueError, match="conflicting"):
         speaker_labels(feats)
@@ -287,18 +348,44 @@ def test_cross_validate_pools_fold_predictions():
     assert len(result.fold_reports) == 2
     assert result.pooled_report.n_scored == 2 * len(test_speakers)
     assert len(result.fold_validation) == 2
+    assert sorted(s for fold in result.fold_validation for s in fold) == sorted(train_speakers)
     assert len(result.histories) == 2 and len(result.histories[0]) == 1
 
     # pooled metrics equal metrics over the concatenated per-fold predictions
-    pooled_truth, pooled_pred = {}, {}
-    for fold, fused in enumerate(result.fold_predictions):
-        for speaker, label in test_speakers.items():
-            pooled_truth[(fold, speaker)] = label
-            pooled_pred[(fold, speaker)] = fused[speaker]
-    recomputed = metrics(confusion(pooled_truth, pooled_pred))
+    truth = np.array([test_speakers[s] for s in sorted(test_speakers)])
+    recomputed = metrics(confusion(np.concatenate([truth, truth]), np.concatenate(result.fold_predictions)))
     assert recomputed == result.pooled_report
     # the separable toy task should be solved through every fold
     assert result.pooled_report.accuracy == 1.0
+
+
+@pytest.mark.parametrize("method", [2, 3])
+def test_cross_validate_pools_tie_drawing_methods(monkeypatch, method):
+    """Two barely trained machines over 2-crop speakers: the majority methods meet ties and draw."""
+    test_speakers = {f"te{i}": i % 2 for i in range(6)}
+    fuse, drew = evaluation.fuse, []
+
+    def spy(preds, cfg):  # fuse's own default generator, watched for draws
+        rng = np.random.default_rng(cfg.tie_seed)
+        fused = fuse(preds, cfg, rng=rng)
+        drew.append(rng.bit_generator.state != np.random.default_rng(cfg.tie_seed).bit_generator.state)
+        return fused
+
+    monkeypatch.setattr(evaluation, "fuse", spy)
+    result = cross_validate(
+        _toy_features({f"tr{i}": i % 2 for i in range(6)}, crops_per_speaker=2, seed=3),
+        _toy_features(test_speakers, crops_per_speaker=2, seed=4),
+        _toy_net(),
+        TrainConfig(epochs=1, batch_size=4, lr_start=1e-6, lr_end=1e-6, seed=6),
+        EnsembleConfig(machines=2, method=method, tie_seed=5),
+        k=3,
+        seed=2,
+    )
+    assert len(drew) == 3 and any(drew)
+    truth = np.array([test_speakers[s] for s in sorted(test_speakers)])
+    assert all(fused.dtype == np.int64 and fused.shape == truth.shape for fused in result.fold_predictions)
+    assert result.pooled_report == metrics(confusion(np.tile(truth, 3), np.concatenate(result.fold_predictions)))
+    assert result.fold_reports == [metrics(confusion(truth, fused)) for fused in result.fold_predictions]
 
 
 def test_cross_validate_k1_trains_on_everything():
@@ -334,7 +421,8 @@ def test_cross_validate_is_the_same_on_both_backings(tmp_path):
     )
     assert all(history.val_loss for fold in opened.histories for history in fold)  # every fold validated
     assert opened.pooled_report == read.pooled_report
-    assert opened.fold_predictions == read.fold_predictions
+    assert len(opened.fold_predictions) == len(read.fold_predictions) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(opened.fold_predictions, read.fold_predictions))
     assert opened.histories == read.histories
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speechdep import trainer
+from speechdep import evaluation, trainer
 from speechdep.features import FeatureSet, LogSpectrogram, read_feature_cache, write_feature_cache
 from speechdep.network import NetworkConfig, NetworkParams, batch_loss, forward_batch, init_params
 from speechdep.trainer import (
@@ -13,8 +13,8 @@ from speechdep.trainer import (
     TrainHistory,
     TrainingDivergedError,
     adadelta_step,
-    evaluate_loss,
     lr_schedule,
+    planned_bytes,
     train,
     write_history_csv,
 )
@@ -309,40 +309,54 @@ def test_lockstep_machines_equal_single_seed_runs():
             assert np.array(getattr(hist, column)).tobytes() == np.array(getattr(solo_hist, column)).tobytes(), column
 
 
-def test_evaluate_loss_hand_case():
-    net = NetworkConfig(freq_bins=2, time_steps=2, filters=1, pool_kernel=1, pool_stride=1, hidden=1)
-    params = init_params(net, 0)
-    for name in ("w_conv", "w_hidden", "w_out"):
-        getattr(params, name)[:] = 0.0  # all-zero net outputs p = 0.5 everywhere
-    feats = feature_set([LogSpectrogram(np.ones((2, 2)), "a", 0, 1), LogSpectrogram(np.ones((2, 2)), "b", 0, 0)])
-    loss, acc = evaluate_loss(params, net, feats)
-    assert loss == pytest.approx(math.log(2.0))
-    assert acc == 0.5  # p = 0.5 maps to label 1, so only the positive is right
+def test_validation_of_one_half_everywhere_reads_log_2(monkeypatch):
+    """p = 0.5 maps to label 1, so only the label-1 crops are right."""
+    monkeypatch.setattr(
+        evaluation, "predict_speaker_probs", lambda pool, net_cfg, features: np.full((len(pool), len(features)), 0.5)
+    )
+    val = _toy_features(2).take([0, 2, 3])  # one label-0 crop, two label-1 crops
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=1)
+    _, histories = train(_toy_features(3), _toy_net(), cfg, init_seeds=[4, 5], val_features=val)
+    for history in histories:
+        assert history.val_loss == [pytest.approx(math.log(2.0))] * 2
+        assert history.val_acc == [2 / 3] * 2
 
 
-def _chunk_loop_loss(params, net, features, batch_size):
-    """evaluate_loss as its own chunk loop: each chunk is normalized, forwarded and scored in turn."""
-    ys = np.asarray(features.labels, dtype=np.float64)
-    losses, correct, n = [], 0, len(features)
-    for lo in range(0, n, batch_size):
-        chunk_x = features.batch(range(lo, min(lo + batch_size, n)))
-        chunk_y = ys[lo : lo + batch_size]
-        probs = forward_batch(params, chunk_x, net).probs
-        losses.append(batch_loss(probs, chunk_y) * chunk_x.shape[0])
-        correct += int(np.sum((probs >= 0.5).astype(np.int64) == chunk_y.astype(np.int64)))
-    return sum(losses) / n, correct / n
+@pytest.mark.parametrize("seeds", [[21, 5, 13], [5]], ids=["lockstep", "single-seed"])
+def test_validation_is_one_pool_prediction_per_epoch(monkeypatch, seeds):
+    """Each machine's val_loss and val_acc are, bitwise, batch_loss and the accuracy of its row of the epoch's call."""
+    features, val = _raw_features(14), _raw_features(6, seed=9)
+    predict, calls = evaluation.predict_speaker_probs, []
+
+    def spy(pool, net_cfg, features):
+        probs = predict(pool, net_cfg, features)
+        calls.append((len(pool), probs))
+        return probs
+
+    monkeypatch.setattr(evaluation, "predict_speaker_probs", spy)
+    cfg = TrainConfig(epochs=3, batch_size=4, lr_start=1.0, lr_end=0.1, seed=7)
+    params_list, histories = train(features, _toy_net(), cfg, init_seeds=seeds, val_features=val)
+    assert [n for n, _ in calls] == [len(seeds)] * cfg.epochs
+    ys = np.asarray(val.labels, dtype=np.float64)
+    for epoch, (_, probs) in enumerate(calls):
+        for m, history in enumerate(histories):
+            want_loss = batch_loss(probs[m], ys)
+            want_acc = np.count_nonzero((probs[m] >= 0.5) == (ys == 1.0)) / len(ys)
+            assert np.float64(history.val_loss[epoch]).tobytes() == np.float64(want_loss).tobytes()
+            assert np.float64(history.val_acc[epoch]).tobytes() == np.float64(want_acc).tobytes()
+    assert len(set(calls[-1][1][:, 0].tolist())) == len(seeds)  # the machines really differ
+    np.testing.assert_array_equal(calls[-1][1], predict(params_list, _toy_net(), val))  # the trained pool's rows
 
 
-def test_evaluate_loss_is_bitwise_the_chunk_loop():
-    net = _toy_net()
-    features = _raw_features(14)  # record 1 is constant
-    assert np.ptp(features.block[1]) == 0.0 and np.ptp(features.block[0]) > 0.0
-    [trained], _ = train(features, net, TrainConfig(epochs=2, batch_size=4, seed=3))
-    for params in (init_params(net, 8), trained):
-        for batch_size in (1, 2, 7, 14, 3, 4, 5, 256):  # even splits, uneven splits, one chunk
-            got = np.array(evaluate_loss(params, net, features, batch_size))
-            want = np.array(_chunk_loop_loss(params, net, features, batch_size))
-            assert got.tobytes() == want.tobytes(), (batch_size, got, want)
+def test_train_plan_counts_each_concurrent_groups_step():
+    """At the reference geometry a second group adds its gradient vector, batch operand, conv activation and pooled
+    maxima with their gradient."""
+    net = NetworkConfig(freq_bins=513, time_steps=125)
+    one, two = (planned_bytes(net, 80, 372, 4, groups) for groups in (1, 2))
+    activation, pooled = 8 * net.filters * 80 * net.time_steps, 2 * 8 * 80 * net.flat_size
+    assert activation == 10_240_000
+    assert two - one >= 8 * net.n_params + 8 * 513 * 80 * 125 + activation + pooled
+    assert planned_bytes(net, 80, 5, 1, 1) < planned_bytes(net, 80, 80, 1, 1)  # a step holds at most the records
 
 
 def test_history_csv(tmp_path):
