@@ -42,19 +42,8 @@ from .audio_io import (
     trim_silence,
     write_wav,
 )
-from .ensemble import (
-    EnsembleConfig,
-    f1_vs_m_experiment,
-    fuse,
-    write_predictions_csv,
-)
-from .evaluation import (
-    speaker_labels,
-    confusion,
-    metrics,
-    prediction_set_for,
-    write_metrics_csv,
-)
+from .ensemble import EnsembleConfig, f1_vs_m_experiment, fuse, write_predictions_csv
+from .evaluation import confusion, metrics, prediction_set_for, speaker_labels, write_metrics_csv
 from .features import StftConfig, featurize_raw, open_feature_cache, write_feature_cache
 from .network import NetworkConfig, NetworkParams, load_model, save_model
 from .sampling import crop, materialize_eval_set, materialize_training_set, plan_balanced
@@ -134,9 +123,14 @@ class RunConfig:
         fields = {key.partition(".")[2]: v for key, v in self.values.items() if key.startswith(prefix + ".")}
         try:
             return factory(**{**fields, **given})
-        except ValueError as exc:  # its message names fields; name each as the key that sets it
-            names = "|".join(field.name for field in dataclasses.fields(factory))
-            raise CliError("config", re.sub(rf"\b({names})\b", rf"{prefix}.\1", str(exc))) from None
+        except ValueError as exc:
+            raise _config_error(exc, factory, prefix) from None
+
+
+def _config_error(exc: ValueError, factory, prefix: str) -> CliError:
+    """A config dataclass's error as a config error line; each field its message names reads as its `prefix.*` key."""
+    names = "|".join(field.name for field in dataclasses.fields(factory))
+    return CliError("config", re.sub(rf"\b({names})\b", rf"{prefix}.\1", str(exc)))
 
 
 def _resolve_config(args) -> RunConfig:
@@ -352,20 +346,20 @@ def cmd_featurize(cfg: RunConfig, manifest_path: Path, out_dir: Path, jobs: int)
         "train": materialize_training_set(plan, train_counts, seed=seed + 1),
         "test": materialize_eval_set(test_counts, cap=cfg["sampling.eval_cap"]),
     }
-    crop_s, window_s, hop_s, n_fft = cfg["sampling.crop_s"], stft_cfg.window_s, stft_cfg.hop_s, stft_cfg.n_fft
+    crop_s = cfg["sampling.crop_s"]
     for split, split_entries in (("train", train_entries), ("test", test_entries)):
         if split_entries and not orders[split]:
             raise CliError("data", f"the {split} split yields no whole crop of sampling.crop_s={crop_s} s")
-    crop_len, win, hop = (samples(s, first_rate) for s in (crop_s, window_s, hop_s))
-    at = f"samples at {first_rate} Hz"  # stft's own demands, judged as config before any crop is featurized
-    if win > n_fft:
-        raise CliError("config", f"stft.window_s={window_s} is {win} {at}, over stft.n_fft={n_fft}")
-    if win < 2:
-        raise CliError("config", f"stft.window_s={window_s} is {win} {at}; a Hamming window needs at least 2")
-    if hop < 1:
-        raise CliError("config", f"stft.hop_s={hop_s} is {hop} {at}; it must be at least 1")
+    try:  # stft's own demands, judged as config before any crop is featurized
+        win, hop = stft_cfg.geometry(first_rate)
+    except ValueError as exc:
+        raise _config_error(exc, StftConfig, "stft") from None
+    crop_len = samples(crop_s, first_rate)
     if crop_len < max(win, hop):
-        raise CliError("config", f"sampling.crop_s={crop_s} is {crop_len} {at}, under the window {win} or hop {hop}")
+        raise CliError(
+            "config", f"sampling.crop_s={crop_s} at {first_rate} Hz makes a crop {crop_len} samples long, "
+            f"under the window {win} or the hop {hop}"
+        )
     # the larger split's float32 features, all held until its cache is written, and per worker one crop's
     # float64 windowed frames, complex128 spectrum and two float64 magnitudes of it
     frames, held = crop_len // hop, max(map(len, orders.values()))

@@ -24,6 +24,14 @@ from pathlib import Path
 import numpy as np
 
 
+def speaker_order(speaker_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct speaker ids and each id's position among them: the one per-speaker order."""
+    speakers, inverse = np.unique(np.asarray(speaker_ids, dtype=str), return_inverse=True)
+    if len(speakers) != len(set(speaker_ids)):  # numpy's fixed-width strings drop trailing NUL characters
+        raise ValueError(f"{len(set(speaker_ids))} distinct speaker ids are {len(speakers)} once trailing NULs drop")
+    return speakers, inverse
+
+
 @dataclass
 class PredictionSet:
     """Every machine's sample-level predictions as one (machines, crops) matrix.
@@ -66,7 +74,7 @@ class PredictionSet:
         crop_indices = np.asarray(crop_indices, dtype=np.int64)
         if probs.ndim != 2 or probs.shape[1] != len(speaker_ids) or crop_indices.shape != (len(speaker_ids),):
             raise ValueError(f"{len(speaker_ids)} speaker ids do not align with probabilities {probs.shape}")
-        speakers, inverse = np.unique(np.asarray(speaker_ids, dtype=str), return_inverse=True)
+        speakers, inverse = speaker_order(speaker_ids)
         order = np.argsort(inverse, kind="stable")
         offsets = np.searchsorted(inverse[order], np.arange(len(speakers)))
         labels = sample_labels(probs, threshold) if labels is None else np.asarray(labels, dtype=np.int64)

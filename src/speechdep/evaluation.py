@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, PredictionSet, fuse
+from .ensemble import EnsembleConfig, PredictionSet, fuse, speaker_order
 from .features import FeatureSet
 from .network import NetworkConfig, NetworkParams, forward_batch
 from .trainer import TrainConfig, TrainHistory, train
@@ -145,16 +145,20 @@ def predict_speaker_probs(
     return probs
 
 
-def speaker_labels(features: FeatureSet) -> np.ndarray:
-    """Each speaker's label in sorted speaker order, the order of PredictionSet.speakers; a conflict raises."""
-    speaker_ids = np.asarray(features.speaker_ids, dtype=str)
-    _, first, inverse = np.unique(speaker_ids, return_index=True, return_inverse=True)
+def _speaker_truth(features: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """speaker_order of the crops' speaker ids, and each speaker's label in that order; a conflict raises."""
+    speakers, inverse = speaker_order(features.speaker_ids)
     labels = np.asarray(features.labels, dtype=np.int64)
-    truth = labels[first]
+    truth = labels[np.unique(inverse, return_index=True)[1]]  # each speaker's first crop's label
     conflicts = np.flatnonzero(labels != truth[inverse])
     if conflicts.size:
-        raise ValueError(f"speaker {speaker_ids[conflicts[0]]} carries conflicting labels")
-    return truth
+        raise ValueError(f"speaker {features.speaker_ids[conflicts[0]]} carries conflicting labels")
+    return speakers, inverse, truth
+
+
+def speaker_labels(features: FeatureSet) -> np.ndarray:
+    """Each speaker's label in sorted speaker order, the order of PredictionSet.speakers; a conflict raises."""
+    return _speaker_truth(features)[2]
 
 
 def prediction_set_for(
@@ -192,9 +196,9 @@ def cross_validate(
     """
     if not train_features or not test_features:
         raise ValueError("need non-empty train and test feature sets")
-    speakers, speaker_of = np.unique(np.asarray(train_features.speaker_ids, dtype=str), return_inverse=True)
+    speakers, speaker_of, train_truth = _speaker_truth(train_features)
     test_truth = speaker_labels(test_features)
-    val_sets = [[]] if k == 1 else kfold_split(speaker_labels(train_features), k, seed)
+    val_sets = [[]] if k == 1 else kfold_split(train_truth, k, seed)
 
     fold_reports, fold_predictions, histories = [], [], []
     for held_out in val_sets:

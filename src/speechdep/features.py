@@ -47,11 +47,18 @@ class StftConfig:
         if self.n_fft < 2:  # a Hamming window of at least 2 samples must fit in it
             raise ValueError(f"n_fft must be >= 2, got {self.n_fft}")
 
-    def window_samples(self, sample_rate: int) -> int:
-        return samples(self.window_s, sample_rate)
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return samples(self.hop_s, sample_rate)
+    def geometry(self, sample_rate: int) -> tuple[int, int]:
+        """The window and hop in samples; a geometry stft cannot compute raises, naming the field at fault."""
+        win, hop = samples(self.window_s, sample_rate), samples(self.hop_s, sample_rate)
+        at = f"at {sample_rate} Hz makes a"
+        window = f"window_s={self.window_s} {at} window {win} samples long"
+        if hop < 1:
+            raise ValueError(f"hop_s={self.hop_s} {at} hop {hop} samples long; it must be at least 1")
+        if win < 2:
+            raise ValueError(f"{window}; a Hamming window needs 2")
+        if win > self.n_fft:
+            raise ValueError(f"{window}, over n_fft={self.n_fft}")
+        return win, hop
 
     @property
     def freq_bins(self) -> int:
@@ -91,18 +98,9 @@ def stft(samples: np.ndarray, sample_rate: int, cfg: StftConfig | None = None) -
     """
     cfg = cfg or StftConfig()
     samples = np.asarray(samples, dtype=np.float64)
-    win = cfg.window_samples(sample_rate)
-    hop = cfg.hop_samples(sample_rate)
-    if win < 1 or hop < 1:
-        raise ValueError(
-            f"at {sample_rate} Hz the STFT window is {win} samples and the hop {hop}; both must be at least 1"
-        )
-    if win > cfg.n_fft:
-        raise ValueError(f"window of {win} samples exceeds n_fft={cfg.n_fft}")
-    if samples.size < hop:
-        raise ValueError(f"signal of {samples.size} samples is shorter than one hop ({hop})")
-    if samples.size < win:
-        raise ValueError(f"signal of {samples.size} samples is shorter than the window ({win})")
+    win, hop = cfg.geometry(sample_rate)
+    if samples.size < max(win, hop):
+        raise ValueError(f"signal of {samples.size} samples is shorter than the window ({win}) or the hop ({hop})")
 
     n_frames = samples.size // hop
     total = (n_frames - 1) * hop + win

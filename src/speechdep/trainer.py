@@ -37,14 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSet
-from .network import (
-    NetworkConfig,
-    NetworkParams,
-    backward_batch,
-    batch_loss,
-    forward_batch,
-    init_params,
-)
+from .network import NetworkConfig, NetworkParams, backward_batch, batch_loss, forward_batch, init_params
 
 _STEP_CHUNK = 1 << 15  # values per slice of an Adadelta step: its temporaries stay small and in cache
 

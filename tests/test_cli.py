@@ -796,6 +796,23 @@ def test_model_with_a_nan_parameter_is_one_data_error_line(small_cache, tmp_path
     assert not (out / written).exists()
 
 
+@pytest.mark.parametrize("command, written", [("evaluate", "predictions.csv"), ("curve", "curve.csv")])
+def test_speaker_ids_that_differ_by_a_trailing_nul_are_one_data_error_line(pipe, tmp_path, capsys, command, written):
+    """numpy strings drop trailing NULs, so test000 and a speaker renamed test000\\0 would be scored as one."""
+    records = list(read_feature_cache(pipe.feats / "test.lspg", normalize=False))
+    first = records[0]  # a twin of its label, so merged ids would carry no conflicting labels either
+    twin = next(r.speaker_id for r in records if r.label == first.label and r.speaker_id != first.speaker_id)
+    for r in records:
+        if r.speaker_id == twin:
+            r.speaker_id = first.speaker_id + "\0"
+    cache, out = tmp_path / "test.lspg", tmp_path / "o"
+    write_feature_cache(cache, records)
+    assert "\0" in "".join(open_feature_cache(cache).speaker_ids)
+    code = _run(command, "--models", pipe.models, "--cache", cache, "--out", out)
+    assert "distinct speaker ids" in _assert_one_error_line(code, capsys, "data")
+    assert not (out / written).exists()
+
+
 def test_small_cache_runs(small_cache):
     for argv in _stages(small_cache.good, small_cache.root):
         assert _run(*argv) == 0
@@ -1492,10 +1509,16 @@ def test_bad_pool_config_is_one_config_error_line_before_any_model_is_read(
 @pytest.mark.parametrize(
     "setting, message",
     [
-        ("stft.window_s=0.1", "stft.window_s=0.1 is 1600 samples at 16000 Hz, over stft.n_fft=1024"),
-        ("stft.window_s=0.00005", "stft.window_s=5e-05 is 1 samples at 16000 Hz; a Hamming window needs at least 2"),
-        ("stft.hop_s=0.00001", "stft.hop_s=1e-05 is 0 samples at 16000 Hz; it must be at least 1"),
-        ("sampling.crop_s=0.01", "sampling.crop_s=0.01 is 160 samples at 16000 Hz, under the window 1024 or hop 512"),
+        ("stft.window_s=0.1", "stft.window_s=0.1 at 16000 Hz makes a window 1600 samples long, over stft.n_fft=1024"),
+        (
+            "stft.window_s=0.00005",
+            "stft.window_s=5e-05 at 16000 Hz makes a window 1 samples long; a Hamming window needs 2",
+        ),
+        ("stft.hop_s=0.00001", "stft.hop_s=1e-05 at 16000 Hz makes a hop 0 samples long; it must be at least 1"),
+        (
+            "sampling.crop_s=0.01",
+            "sampling.crop_s=0.01 at 16000 Hz makes a crop 160 samples long, under the window 1024 or the hop 512",
+        ),
     ],
 )
 def test_stft_geometry_that_cannot_be_computed_is_one_config_error_line_before_any_feature(

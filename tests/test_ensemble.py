@@ -15,6 +15,7 @@ from speechdep.ensemble import (
     fuse_method3,
     read_predictions_csv,
     sample_labels,
+    speaker_order,
     write_predictions_csv,
 )
 
@@ -260,6 +261,15 @@ def test_method2_and_method3_can_disagree():
     assert fuse_method2(sets, StubRng(1)).tolist() == [0]  # no tie: decisive majority
     assert fuse_method3(sets, StubRng(0)).tolist() == [0]
     assert fuse_method3(sets, StubRng(1)).tolist() == [1]  # machine votes tie 1-1
+
+
+def test_speaker_order_rejects_ids_that_numpy_strings_merge():
+    speakers, inverse = speaker_order(["b", "a", "b", "c"])
+    assert speakers.tolist() == ["a", "b", "c"] and inverse.tolist() == [1, 0, 1, 2]
+    with pytest.raises(ValueError, match="2 distinct speaker ids are 1 once trailing NULs drop"):
+        speaker_order(["a", "a\0"])
+    with pytest.raises(ValueError, match="distinct speaker ids"):
+        PredictionSet.from_pool(["a", "a\0"], [0, 1], [[0.1, 0.9]])
 
 
 def test_inconsistent_sets_are_rejected():

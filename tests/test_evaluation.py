@@ -220,6 +220,9 @@ def test_speaker_labels_helper():
     feats.labels[0] = 1
     with pytest.raises(ValueError, match="conflicting"):
         speaker_labels(feats)
+    feats.speaker_ids[-1] = "a\0"  # numpy strings would read it as speaker a
+    with pytest.raises(ValueError, match="distinct speaker ids"):
+        speaker_labels(feats)
 
 
 def test_predict_speaker_probs_matches_single_forward():

@@ -56,7 +56,7 @@ def test_stft_matches_naive_dft():
     rate = 8000
     samples = rng.normal(size=5 * 32 + 7)  # ragged tail exercises zero padding
     spec = stft(samples, rate, cfg)
-    win, hop = cfg.window_samples(rate), cfg.hop_samples(rate)
+    win, hop = cfg.geometry(rate)
     n_frames = samples.size // hop
     assert spec.shape == (cfg.n_fft // 2 + 1, n_frames)
     padded = np.zeros((n_frames - 1) * hop + win)
@@ -93,7 +93,7 @@ def test_stft_bin_center_sinusoid_peaks_at_its_row():
     freq = k * rate / cfg.n_fft  # exactly bin-centered
     t = np.arange(2 * rate) / rate
     spec = np.abs(stft(np.sin(2 * np.pi * freq * t), rate, cfg))
-    win, hop = cfg.window_samples(rate), cfg.hop_samples(rate)
+    win, hop = cfg.geometry(rate)
     full_frames = (2 * rate - win) // hop + 1
     for col in range(full_frames):
         assert int(np.argmax(spec[:, col])) == k
@@ -306,6 +306,5 @@ def test_stft_config_rejects_seconds_past_max_seconds(field):
 
 def test_stft_config_derived_sizes():
     cfg = StftConfig()
-    assert cfg.window_samples(16000) == 1024
-    assert cfg.hop_samples(16000) == 512
+    assert cfg.geometry(16000) == (1024, 512)
     assert cfg.freq_bins == 513
