@@ -29,6 +29,7 @@ _RENDER_BLOCK = 1 << 14  # samples per block of _render_clip's sample-wise formu
 
 # The longest span samples() takes: times any rate a WAV header holds (under 2**32 Hz) it stays finite.
 MAX_SECONDS = sys.float_info.max / 2**32
+MAX_SAMPLE_RATE = 0xFFFFFFFF // 2  # write_wav's highest: a 16-bit mono header's byte rate, 2 * rate, is 32 bits
 
 
 class WavError(ValueError):
@@ -145,6 +146,8 @@ def load_wav(path) -> AudioClip:
 
 def write_wav(path, clip: AudioClip) -> None:
     """Write a clip as 16-bit mono PCM. Quantization error is < 1/32768."""
+    if clip.sample_rate > MAX_SAMPLE_RATE:
+        raise ValueError(f"a sample rate of {clip.sample_rate} Hz makes a WAV byte rate, 2 * rate, past 32 bits")
     q = np.clip(np.rint(clip.samples * PCM_FULL_SCALE), -32768, 32767).astype("<i2")
     payload = q.tobytes()
     header = struct.pack(

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import (
+    MAX_SAMPLE_RATE,
     MAX_SECONDS,
     CorpusManifest,
     keep_frames,
@@ -160,8 +161,8 @@ def _resolve_config(args) -> RunConfig:
         if not 0.0 < cfg[key] <= MAX_SECONDS:  # false for nan too
             raise CliError("config", f"{key} must lie in (0, {MAX_SECONDS:.6g}] seconds, got {cfg[key]}")
     duration_s, rate = cfg["synth.duration_s"], cfg["synth.sample_rate"]
-    if rate > 0xFFFFFFFF:
-        raise CliError("config", f"synth.sample_rate={rate} does not fit the 32-bit rate of a WAV header")
+    if rate > MAX_SAMPLE_RATE:
+        raise CliError("config", f"synth.sample_rate={rate} makes a WAV byte rate, 2 * rate, past 32 bits")
     if round(duration_s / 2.0 * rate) < 1:
         raise CliError("config", f"synth.duration_s={duration_s} at {rate} Hz allows clips of under 1 sample")
     if np.isnan(cfg["trim.floor_db"]):
@@ -463,7 +464,7 @@ def _pool_predictions(model_paths: list[Path], cache_path: Path, threshold: floa
 
 def cmd_evaluate(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path) -> dict:
     model_paths = _model_paths(models_dir, cache_path)
-    ens_cfg = cfg.section(EnsembleConfig, "ensemble", machines=len(model_paths))
+    ens_cfg = cfg.section(EnsembleConfig, "ensemble")
     preds, truth = _pool_predictions(model_paths, cache_path, ens_cfg.threshold)
     fused = fuse(preds, ens_cfg)
     report = metrics(confusion(truth, fused))
@@ -499,11 +500,11 @@ def cmd_curve(cfg: RunConfig, models_dir: Path, cache_path: Path, out_dir: Path)
     m_values = _m_values(cfg["curve.m_values"]) or list(range(1, len(model_paths) + 1))
     if m_values[-1] > len(model_paths):
         raise CliError("config", f"curve.m_values entry {m_values[-1]} outside pool of {len(model_paths)}")
-    n_combinations, threshold = cfg["curve.n_combinations"], cfg["ensemble.threshold"]
-    preds, truth = _pool_predictions(model_paths, cache_path, threshold)
+    n_combinations = cfg["curve.n_combinations"]
+    preds, truth = _pool_predictions(model_paths, cache_path, cfg["ensemble.threshold"])
     # in line: the fusion holds the interpreter lock, so threads would only take turns at it
     points = {
-        method: f1_vs_m_experiment(preds, truth, m_values, n_combinations, method, threshold, cfg["seed"])
+        method: f1_vs_m_experiment(preds, truth, m_values, n_combinations, method, cfg["seed"])
         for method in (1, 2, 3)
     }
 

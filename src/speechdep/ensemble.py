@@ -1,8 +1,9 @@
 """Fusing per-sample probabilities from several networks into speaker labels.
 
-Three fusion methods over M machines, the picked rows of one (machines,
-crops) probability matrix whose columns group by speaker. Each returns one
-int64 label per speaker, in PredictionSet.speakers order:
+A prediction is one (machines, crops) probability matrix, whose columns
+group by speaker, and one decision threshold. Three fusion methods over M
+machines, the picked rows of that matrix, each return one int64 label per
+speaker, in PredictionSet.speakers order:
 
 1. average probabilities per sample across machines, then threshold the
    per-speaker mean probability;
@@ -10,9 +11,10 @@ int64 label per speaker, in PredictionSet.speakers order:
 3. take each machine's per-speaker majority label, then the majority of
    those M votes.
 
-A probability at or above the threshold maps to label 1. Exact majority
-ties are settled by a seeded generator, drawing in speaker order, so reruns
-reproduce the same draws.
+sample_labels is the one thresholding rule: a probability at or above the
+set's threshold maps to label 1, for the sample labels and for method 1's
+speaker means alike. Exact majority ties are settled by a seeded generator,
+drawing in speaker order, so reruns reproduce the same draws.
 """
 
 from __future__ import annotations
@@ -34,18 +36,20 @@ def speaker_order(speaker_ids) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class PredictionSet:
-    """Every machine's sample-level predictions as one (machines, crops) matrix.
+    """Every machine's sample-level predictions as one (machines, crops) matrix and its threshold.
 
     Crops are speaker-contiguous in sorted speaker order: speaker i owns the
     columns offsets[i]:offsets[i+1] (the last one runs to the end), in the
-    order its crops were predicted. Machine m is row m.
+    order its crops were predicted. Machine m is row m. labels is derived,
+    sample_labels(probs, threshold), and every fusion thresholds there too.
     """
 
     speakers: list[str]  # sorted, distinct
     offsets: np.ndarray  # (speakers,) first column of each speaker
     crop_indices: np.ndarray  # (crops,)
     probs: np.ndarray  # (machines, crops) probabilities
-    labels: np.ndarray  # (machines, crops) thresholded labels
+    threshold: float = 0.5
+    labels: np.ndarray = field(init=False, repr=False)  # (machines, crops) sample_labels(probs, threshold)
     sizes: np.ndarray = field(init=False, repr=False)  # (speakers,) crops per speaker
     ones: np.ndarray = field(init=False, repr=False)  # (machines, speakers) label-1 counts
     by_size: list = field(init=False, repr=False)  # (speaker positions, (k, n) columns) per crop count n
@@ -55,6 +59,7 @@ class PredictionSet:
             raise ValueError("prediction set has no speakers")
         if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # false for nan too
             raise ValueError("prediction set has probabilities outside [0, 1] or nan")
+        self.labels = sample_labels(self.probs, self.threshold)
         self.sizes = np.diff(self.offsets, append=self.probs.shape[1])
         self.ones = np.add.reduceat(self.labels, self.offsets, axis=1)
         self.by_size = [
@@ -63,12 +68,11 @@ class PredictionSet:
         ]
 
     @classmethod
-    def from_pool(cls, speaker_ids, crop_indices, probs, threshold=0.5, labels=None) -> "PredictionSet":
+    def from_pool(cls, speaker_ids, crop_indices, probs, threshold=0.5) -> "PredictionSet":
         """The set of a (machines, samples) probability array whose columns carry speaker_ids.
 
         One stable gather by speaker puts the columns in speaker-contiguous
         order, so interleaved speakers keep their crops' relative order.
-        labels defaults to the probabilities thresholded.
         """
         probs = np.asarray(probs, dtype=np.float64)
         crop_indices = np.asarray(crop_indices, dtype=np.int64)
@@ -77,8 +81,7 @@ class PredictionSet:
         speakers, inverse = speaker_order(speaker_ids)
         order = np.argsort(inverse, kind="stable")
         offsets = np.searchsorted(inverse[order], np.arange(len(speakers)))
-        labels = sample_labels(probs, threshold) if labels is None else np.asarray(labels, dtype=np.int64)
-        return cls(speakers.tolist(), offsets, crop_indices[order], probs[:, order], labels[:, order])
+        return cls(speakers.tolist(), offsets, crop_indices[order], probs[:, order], threshold)
 
     @property
     def machines(self) -> int:
@@ -110,8 +113,8 @@ def _picked(preds: PredictionSet, picks) -> np.ndarray:
     return np.arange(preds.machines) if picks is None else np.asarray(picks, dtype=np.intp)
 
 
-def fuse_method1(preds: PredictionSet, threshold: float = 0.5, picks=None) -> np.ndarray:
-    """Average sample probabilities across the picked machines, then threshold each speaker's mean.
+def fuse_method1(preds: PredictionSet, picks=None) -> np.ndarray:
+    """Average sample probabilities across the picked machines, then threshold each speaker's mean at preds.threshold.
 
     Rounding follows a per-speaker (machines, crops) stack: machines add in
     pick order, and each speaker's crop means reduce as a 1-d array of their
@@ -125,7 +128,7 @@ def fuse_method1(preds: PredictionSet, threshold: float = 0.5, picks=None) -> np
             speaker_means[where] = np.ascontiguousarray(rows[:, cols[:, 0]].T).mean(axis=1)
         else:
             speaker_means[where] = crop_means[cols].mean(axis=1)
-    return (speaker_means >= threshold).astype(np.int64)
+    return sample_labels(speaker_means, preds.threshold)
 
 
 def fuse_method2(preds: PredictionSet, rng, picks=None) -> np.ndarray:
@@ -160,17 +163,14 @@ def fuse_method3(preds: PredictionSet, rng, picks=None) -> np.ndarray:
 
 
 def fuse(preds: PredictionSet, cfg: EnsembleConfig, rng=None, picks=None) -> np.ndarray:
-    """Labels in preds.speakers order, the picked machines (default all) fused by cfg.method.
+    """Labels in preds.speakers order, the picked machines (default all) fused by cfg.method at preds.threshold.
 
     rng defaults to a generator seeded with cfg.tie_seed.
     """
-    n_picked = preds.machines if picks is None else len(picks)
-    if n_picked != cfg.machines:
-        raise ValueError(f"expected {cfg.machines} machines, got {n_picked}")
     if rng is None:
         rng = np.random.default_rng(cfg.tie_seed)
     if cfg.method == 1:
-        return fuse_method1(preds, cfg.threshold, picks)
+        return fuse_method1(preds, picks)
     if cfg.method == 2:
         return fuse_method2(preds, rng, picks)
     return fuse_method3(preds, rng, picks)
@@ -189,12 +189,12 @@ def f1_vs_m_experiment(
     m_values,
     n_combinations: int = 200,
     method: int = 1,
-    threshold: float = 0.5,
     seed: int = 0,
 ) -> list[F1CurvePoint]:
     """F1 mean/std per class as the ensemble grows, over seeded machine subsets of preds.
 
-    truth holds each speaker's label in preds.speakers order.
+    truth holds each speaker's label in preds.speakers order. Every subset
+    is fused by method at preds.threshold.
 
     For each M, n_combinations subsets of the machines are drawn without
     replacement; each combination uses an rng stream derived from
@@ -209,9 +209,9 @@ def f1_vs_m_experiment(
     if n_combinations < 1:
         raise ValueError("need at least one combination")
 
+    cfg = EnsembleConfig(method=method)
     curve = []
     for m in m_values:
-        cfg = EnsembleConfig(machines=m, method=method, threshold=threshold)
         scores = {0: [], 1: []}
         for j in range(n_combinations):
             rng = np.random.default_rng([seed, m, j])
@@ -244,27 +244,21 @@ def write_predictions_csv(path, preds: PredictionSet) -> None:
                 writer.writerow([machine, s, crop_index, format(p, ".17g"), y])
 
 
-def read_predictions_csv(path) -> PredictionSet:
-    """The PredictionSet that write_predictions_csv wrote; every machine must cover the same crops."""
-    rows: dict[int, list[tuple[str, int, float, int]]] = {}
+def read_predictions_csv(path, threshold: float = 0.5) -> PredictionSet:
+    """write_predictions_csv's set at threshold, its label column unread; every machine must cover the same crops."""
+    rows: dict[int, list[tuple[str, int, float]]] = {}
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != _CSV_HEADER:
             raise ValueError(f"{path}: expected header {_CSV_HEADER}, got {reader.fieldnames}")
         for row in reader:
-            rows.setdefault(int(row["machine"]), []).append(
-                (row["speaker_id"], int(row["crop_index"]), float(row["probability"]), int(row["label"]))
-            )
+            column = (row["speaker_id"], int(row["crop_index"]))
+            rows.setdefault(int(row["machine"]), []).append((*column, float(row["probability"])))
     if not rows:
         raise ValueError(f"{path}: no prediction rows")
     first, *_ = columns = [[r[:2] for r in rows[m]] for m in sorted(rows)]
     if any(c != first for c in columns):
         raise ValueError(f"{path}: machines cover different crops")
     speaker_ids, crop_indices = zip(*first)
-    by_machine = [rows[m] for m in sorted(rows)]
-    return PredictionSet.from_pool(
-        speaker_ids,
-        crop_indices,
-        [[r[2] for r in m_rows] for m_rows in by_machine],
-        labels=[[r[3] for r in m_rows] for m_rows in by_machine],
-    )
+    probs = [[r[2] for r in rows[m]] for m in sorted(rows)]
+    return PredictionSet.from_pool(speaker_ids, crop_indices, probs, threshold)

@@ -146,8 +146,8 @@ def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
             raise ValueError(f"inconsistent feature shape {f.values.shape} vs ({freq_bins}, {time_steps})")
         if len(sid) > 0xFFFF:
             raise ValueError(f"record {index}: speaker id of {len(sid)} UTF-8 bytes exceeds the cache's 65535")
-        if f.label not in (0, 1, None):
-            raise ValueError(f"record {index}: label must be 0, 1 or None, got {f.label!r}")
+        if f.label not in (0, 1):
+            raise ValueError(f"record {index}: label must be 0 or 1, got {f.label!r}")
         if not 0 <= f.crop_index <= 0xFFFFFFFF:
             raise ValueError(f"record {index}: crop index {f.crop_index} does not fit the cache's 32 bits")
     with open(path, "wb") as fh:
@@ -156,7 +156,7 @@ def write_feature_cache(path, features: Sequence[LogSpectrogram]) -> None:
         for f, sid in zip(features, sids):
             fh.write(struct.pack("<H", len(sid)))
             fh.write(sid)
-            fh.write(struct.pack("<IB", f.crop_index, 0 if f.label is None else int(f.label)))
+            fh.write(struct.pack("<IB", f.crop_index, int(f.label)))
             fh.write(np.ascontiguousarray(f.values, dtype="<f4").tobytes())
 
 

@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble import sample_labels
 from .features import FeatureSet
 from .network import NetworkConfig, NetworkParams, backward_batch, batch_loss, forward_batch, init_params
 
@@ -160,7 +161,7 @@ def train(
 
     Each epoch's validation is one predict_speaker_probs call for all the
     machines: machine m's val_loss is batch_loss over its row, and its
-    val_acc the share of the row that is right at 0.5.
+    val_acc the share of the row whose sample_labels are right.
     """
     from .evaluation import predict_speaker_probs  # deferred: evaluation imports this module
 
@@ -209,7 +210,7 @@ def train(
             history.train_loss.append(epoch_loss / n)
             if val_features:
                 history.val_loss.append(batch_loss(val_probs[m], val_ys))
-                history.val_acc.append(np.count_nonzero((val_probs[m] >= 0.5) == (val_ys == 1.0)) / len(val_ys))
+                history.val_acc.append(np.count_nonzero(sample_labels(val_probs[m]) == val_ys) / len(val_ys))
             else:
                 history.val_loss.append(float("nan"))
                 history.val_acc.append(float("nan"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speechdep.audio_io import (
+    MAX_SAMPLE_RATE,
     MAX_SECONDS,
     AudioClip,
     CorpusManifest,
@@ -106,6 +107,15 @@ def test_write_wav_clips_out_of_range(tmp_path):
     path = tmp_path / "hot.wav"
     write_wav(path, AudioClip(np.array([2.0, -2.0]), 16000))
     np.testing.assert_allclose(load_wav(path).samples, [32767 / 32768, -1.0])
+
+
+def test_write_wav_rejects_a_rate_whose_byte_rate_passes_32_bits(tmp_path):
+    path = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match="byte rate"):
+        write_wav(path, AudioClip(np.zeros(2), MAX_SAMPLE_RATE + 1))
+    assert not path.exists()
+    write_wav(path, AudioClip(np.zeros(2), MAX_SAMPLE_RATE))
+    assert load_wav(path).sample_rate == MAX_SAMPLE_RATE == 2**31 - 1
 
 
 def test_audio_clip_validation():

@@ -562,6 +562,7 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow or invalid value anywhere in the pipeline fails
 def test_golden_model_and_predictions(pipe, tmp_path):
     models, out, curve = tmp_path / "models", tmp_path / "eval", tmp_path / "curve"
     # batch 4 over 6 crops: a full and a partial batch per epoch
@@ -1305,11 +1306,15 @@ def test_clip_of_under_one_sample_is_one_config_error_line_before_any_file(tmp_p
     assert _run("synth", "--out", tmp_path / "d", *FAST, "--set", "synth.duration_s=0.000125", "--jobs", jobs) == 0
 
 
-@pytest.mark.parametrize("rate", [2**32, 10**400])
+@pytest.mark.parametrize("rate", [2**31, 2**32, 10**400])
 def test_sample_rate_past_the_wav_header_is_one_config_error_line_before_any_file(tmp_path, capsys, rate):
-    code = _run("synth", "--out", tmp_path / "c", *FAST, "--set", f"synth.sample_rate={rate}")
+    short = ["--set", "synth.duration_s=0.000002"]  # clips of a few thousand samples pass the memory plan
+    code = _run("synth", "--out", tmp_path / "c", *FAST, *short, "--set", f"synth.sample_rate={rate}")
     assert "sample_rate" in _assert_one_error_line(code, capsys, "config")
     assert not (tmp_path / "c" / "wav").exists()
+    # the highest rate whose byte rate, 2 * rate, fits the header's 32 bits
+    assert _run("synth", "--out", tmp_path / "d", *FAST, *short, "--set", f"synth.sample_rate={2**31 - 1}") == 0
+    assert load_wav(next((tmp_path / "d" / "wav").glob("*.wav"))).sample_rate == 2**31 - 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])

@@ -125,6 +125,7 @@ def _tie_heavy_pools(draw):
 def test_dense_fusion_equals_the_dict_fusion(pool, seed):
     speaker_ids, probs, picks = pool
     preds = PredictionSet.from_pool(speaker_ids, range(len(speaker_ids)), probs)
+    np.testing.assert_array_equal(preds.labels, sample_labels(preds.probs, preds.threshold))
     picked = [_DictSet(speaker_ids, probs[m]) for m in picks]
     assert fuse_method1(preds, picks=picks).tolist() == _in_speaker_order(preds, _dict_method1(picked))
     for dense, oracle in ((fuse_method2, _dict_method2), (fuse_method3, _dict_method3)):
@@ -308,8 +309,16 @@ def test_fuse_dispatcher_counts_and_seeding():
     again = fuse(sets, cfg)
     assert first.dtype == np.int64 and first.shape == (1,)
     np.testing.assert_array_equal(first, again)  # tie resolved identically per seed
-    with pytest.raises(ValueError, match="expected 3"):
-        fuse(sets, EnsembleConfig(machines=3, method=1))
+
+
+@pytest.mark.parametrize("method", [1, 2, 3])
+def test_every_method_fuses_at_the_sets_threshold(method):
+    """A set built at 0.3 thresholds there under every method, whatever the config's threshold says."""
+    preds = _pool([[0.4, 0.4, 0.4]] * 3, threshold=0.3)
+    np.testing.assert_array_equal(preds.labels, np.ones((3, 3), dtype=np.int64))
+    cfg = EnsembleConfig(machines=3, method=method, threshold=0.5)
+    assert fuse(preds, cfg, rng=RaisingRng()).tolist() == [1]
+    assert fuse(_pool([[0.4, 0.4, 0.4]] * 3), cfg, rng=RaisingRng()).tolist() == [0]  # at 0.5, 0 under every method
 
 
 def test_ensemble_config_validation():
@@ -360,11 +369,17 @@ def test_predictions_csv_round_trip(tmp_path):
     pool, _ = _pool_with_truth(seed=9, n_machines=2)
     path = tmp_path / "p.csv"
     write_predictions_csv(path, pool)
+    header, *rows = path.read_text().splitlines()
+    # the label column is not read: with every label inverted, the labels still come from the probabilities
+    path.write_text("\n".join([header, *(row[:-1] + str(1 - int(row[-1])) for row in rows)]) + "\n")
     loaded = read_predictions_csv(path)
     assert loaded.machines == 2
     assert loaded.speakers == pool.speakers
-    for name in ("offsets", "crop_indices", "probs", "labels"):
+    for name in ("offsets", "crop_indices", "probs", "labels", "threshold"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(pool, name))
+    at_03 = read_predictions_csv(path, 0.3)
+    assert at_03.threshold == 0.3
+    np.testing.assert_array_equal(at_03.labels, sample_labels(pool.probs, 0.3))
 
 
 def test_predictions_csv_rejects_bad_header(tmp_path):

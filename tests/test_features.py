@@ -172,16 +172,17 @@ def test_feature_cache_rejects_bad_inputs(tmp_path):
         ([good, normalized], "pre-normalization"),
         ([good, other], "shape"),
         ([good, long_id], "record 1: speaker id of 65536 UTF-8 bytes exceeds the cache's 65535"),
-        ([good, LogSpectrogram(good.values, "s", 1, 2)], "record 1: label must be 0, 1 or None, got 2"),
+        ([good, LogSpectrogram(good.values, "s", 1, 2)], "record 1: label must be 0 or 1, got 2"),
+        ([good, LogSpectrogram(good.values, "s", 1, None)], "record 1: label must be 0 or 1, got None"),
         ([good, LogSpectrogram(good.values, "s", 2**32, 0)], "record 1: crop index 4294967296 does not fit"),
-        ([LogSpectrogram(good.values, "s", -1, None)], "record 0: crop index -1 does not fit"),
+        ([LogSpectrogram(good.values, "s", -1, 0)], "record 0: crop index -1 does not fit"),
     ):
         with pytest.raises(ValueError, match=message):
             write_feature_cache(path, records)
         assert not path.exists()  # every record is checked before the file is made
     write_feature_cache(path, [LogSpectrogram(good.values, "\u00e9" * 32767 + "s", 0, 0)])  # 65,535 bytes fit
     assert len(read_feature_cache(path)[0].speaker_id) == 32768
-    write_feature_cache(path, [LogSpectrogram(good.values, "s", 2**32 - 1, None)])  # the largest index fits
+    write_feature_cache(path, [LogSpectrogram(good.values, "s", 2**32 - 1, 0)])  # the largest index fits
     assert read_feature_cache(path)[0].crop_index == 2**32 - 1
 
 
